@@ -94,11 +94,6 @@ func CannonBandwidthLowerBound(n, p float64) float64 {
 	return n * n / math.Sqrt(p)
 }
 
-// CannonLatencyLowerBound is Eq. 2: S = Ω(√p).
-func CannonLatencyLowerBound(p float64) float64 {
-	return math.Sqrt(p)
-}
-
 // Solomonik25DBandwidthLowerBound is Eq. 4: W = Ω(n²/√(dp)).
 func Solomonik25DBandwidthLowerBound(n, p, d float64) float64 {
 	return n * n / math.Sqrt(d*p)

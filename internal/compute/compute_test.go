@@ -25,12 +25,12 @@ func TestMatMulChargesAndComputes(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	a := tensor.RandomMatrix(3, 4, rng)
 	b := tensor.RandomMatrix(4, 5, rng)
-	var got *tensor.Matrix
+	got := tensor.New(3, 5)
 	clock := withWorker(t, func(w *dist.Worker) {
-		got = MatMul(w, a, b)
+		MatMulInto(w, got, a, b)
 	})
 	if got.MaxAbsDiff(tensor.MatMul(a, b)) != 0 {
-		t.Fatal("charged MatMul must compute the same product")
+		t.Fatal("charged MatMulInto must compute the same product")
 	}
 	want := 2.0 * 3 * 5 * 4 / dist.MeluxinaModel().FLOPS
 	if math.Abs(clock-want) > 1e-25 {
@@ -43,8 +43,8 @@ func TestTransposedVariantsChargeSameFlops(t *testing.T) {
 	a := tensor.RandomMatrix(4, 6, rng)
 	bNT := tensor.RandomMatrix(5, 6, rng)
 	bTN := tensor.RandomMatrix(4, 5, rng)
-	cNT := withWorker(t, func(w *dist.Worker) { MatMulNT(w, a, bNT) })
-	cTN := withWorker(t, func(w *dist.Worker) { MatMulTN(w, a, bTN) })
+	cNT := withWorker(t, func(w *dist.Worker) { MatMulNTInto(w, tensor.New(4, 5), a, bNT) })
+	cTN := withWorker(t, func(w *dist.Worker) { MatMulTNInto(w, tensor.New(6, 5), a, bTN) })
 	// Both are 2·m·n·k with the same m·n·k product (4·6·5).
 	if cNT != cTN {
 		t.Fatalf("NT charge %g != TN charge %g", cNT, cTN)
@@ -53,20 +53,19 @@ func TestTransposedVariantsChargeSameFlops(t *testing.T) {
 
 func TestPhantomChargesEqualReal(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	realClock := withWorker(t, func(w *dist.Worker) {
-		x := tensor.RandomMatrix(6, 6, rng)
-		y := GELU(w, x)
-		z := SoftmaxRows(w, y)
-		Add(w, z, z)
-		ColSums(w, z)
-	})
-	phClock := withWorker(t, func(w *dist.Worker) {
-		x := tensor.NewPhantom(6, 6)
-		y := GELU(w, x)
-		z := SoftmaxRows(w, y)
-		Add(w, z, z)
-		ColSums(w, z)
-	})
+	run := func(newMatrix func(r, c int) *tensor.Matrix) float64 {
+		return withWorker(t, func(w *dist.Worker) {
+			x := newMatrix(6, 6)
+			y := newMatrix(6, 6)
+			GELUTo(w, y, x)
+			z := newMatrix(6, 6)
+			SoftmaxRowsTo(w, z, y)
+			AddTo(w, z, z, z)
+			ColSumsInto(w, newMatrix(1, 6), z)
+		})
+	}
+	realClock := run(func(r, c int) *tensor.Matrix { return tensor.RandomMatrix(r, c, rng) })
+	phClock := run(tensor.NewPhantom)
 	if realClock != phClock {
 		t.Fatalf("phantom clock %g != real clock %g", phClock, realClock)
 	}
@@ -77,31 +76,38 @@ func TestElementwiseResults(t *testing.T) {
 	a := tensor.RandomMatrix(3, 3, rng)
 	b := tensor.RandomMatrix(3, 3, rng)
 	withWorker(t, func(w *dist.Worker) {
-		if Sub(w, a, b).MaxAbsDiff(tensor.Sub(a, b)) != 0 {
-			t.Error("Sub mismatch")
-		}
-		if Mul(w, a, b).MaxAbsDiff(tensor.Mul(a, b)) != 0 {
-			t.Error("Mul mismatch")
-		}
-		if Scale(w, 2, a).MaxAbsDiff(tensor.Scale(2, a)) != 0 {
-			t.Error("Scale mismatch")
+		got := tensor.New(3, 3)
+		AddTo(w, got, a, b)
+		if got.MaxAbsDiff(tensor.Add(a, b)) != 0 {
+			t.Error("AddTo mismatch")
 		}
 		v := tensor.RandomMatrix(1, 3, rng)
-		if AddRowVector(w, a, v).MaxAbsDiff(tensor.AddRowVector(a, v)) != 0 {
-			t.Error("AddRowVector mismatch")
-		}
-		g := GELUGrad(w, a)
-		if g.MaxAbsDiff(tensor.GELUGrad(a)) != 0 {
-			t.Error("GELUGrad mismatch")
-		}
-		s := SoftmaxRows(w, a)
-		if SoftmaxRowsBackward(w, s, b).MaxAbsDiff(tensor.SoftmaxRowsBackward(s, b)) != 0 {
-			t.Error("SoftmaxRowsBackward mismatch")
-		}
 		c := a.Clone()
-		AddInPlace(w, c, b)
-		if c.MaxAbsDiff(tensor.Add(a, b)) != 0 {
-			t.Error("AddInPlace mismatch")
+		AddRowVectorInPlace(w, c, v)
+		if c.MaxAbsDiff(tensor.AddRowVector(a, v)) != 0 {
+			t.Error("AddRowVectorInPlace mismatch")
+		}
+		sums := tensor.New(1, 3)
+		ColSumsInto(w, sums, a)
+		if sums.MaxAbsDiff(tensor.ColSums(a)) != 0 {
+			t.Error("ColSumsInto mismatch")
+		}
+		GELUTo(w, got, a)
+		if got.MaxAbsDiff(tensor.GELU(a)) != 0 {
+			t.Error("GELUTo mismatch")
+		}
+		GELUGradHadamardTo(w, got, a, b)
+		if got.MaxAbsDiff(tensor.Mul(b, tensor.GELUGrad(a))) != 0 {
+			t.Error("GELUGradHadamardTo mismatch")
+		}
+		s := tensor.New(3, 3)
+		SoftmaxRowsTo(w, s, a)
+		if s.MaxAbsDiff(tensor.SoftmaxRows(a)) != 0 {
+			t.Error("SoftmaxRowsTo mismatch")
+		}
+		SoftmaxRowsBackwardTo(w, got, s, b)
+		if got.MaxAbsDiff(tensor.SoftmaxRowsBackward(s, b)) != 0 {
+			t.Error("SoftmaxRowsBackwardTo mismatch")
 		}
 		acc := tensor.New(3, 3)
 		MatMulInto(w, acc, a, b)

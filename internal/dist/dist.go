@@ -117,10 +117,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Faults returns the installed gray-failure schedule, or nil for a pristine
-// cluster (including one configured with an empty plan).
-func (c *Cluster) Faults() *FaultPlan { return c.fault }
-
 // AttachMonitor wires a telemetry sink sized for this cluster: every
 // Worker.EndStep reports its (total, busy) split to it. Call it before the
 // first Run; it panics on a second attach or a world-size mismatch. Returns
@@ -132,9 +128,6 @@ func (c *Cluster) AttachMonitor(cfg MonitorConfig) *Monitor {
 	c.monitor = newMonitor(cfg, c.cfg.WorldSize)
 	return c.monitor
 }
-
-// Monitor returns the attached telemetry sink, or nil.
-func (c *Cluster) Monitor() *Monitor { return c.monitor }
 
 // WorldSize returns the number of ranks.
 func (c *Cluster) WorldSize() int { return c.cfg.WorldSize }

@@ -2,7 +2,6 @@ package megatron
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/compute"
 	"repro/internal/nn"
@@ -33,15 +32,7 @@ func NewAttention(p *Proc, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 	wv := tensor.XavierMatrix(h, h, rng)
 	wo := tensor.XavierMatrix(h, h, rng)
 
-	bc := h / p.P
-	cols := make([]*tensor.Matrix, 0, 3*p.P)
-	for r := 0; r < p.P; r++ {
-		cols = append(cols,
-			wq.SubMatrix(0, r*bc, h, bc),
-			wk.SubMatrix(0, r*bc, h, bc),
-			wv.SubMatrix(0, r*bc, h, bc))
-	}
-	fused := tensor.HCat(cols...)
+	fused := compute.FuseQKV(wq, wk, wv, p.P)
 
 	a := &Attention{H: h, Heads: heads, SeqLen: seqLen}
 	a.QKV = newColFromGlobal(p, fused, nn.ActNone, true)
@@ -76,61 +67,11 @@ func (a *Attention) Params() []*nn.Param {
 // The Q/K/V slices and the per-head probabilities are retained for the
 // backward pass in workspace buffers, released at the step boundary.
 func (a *Attention) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
 	qkv := a.QKV.Forward(p, x)
-	hp := a.H / p.P
-	ph := qkv.Phantom()
-	aq := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	ak := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	av := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	tensor.SubMatrixInto(aq, qkv, 0, 0)
-	tensor.SubMatrixInto(ak, qkv, 0, hp)
-	tensor.SubMatrixInto(av, qkv, 0, 2*hp)
-	a.q, a.k, a.v = aq, ak, av
-	out := a.attendForward(p, aq, ak, av)
+	a.q, a.k, a.v = compute.SplitQKV(p.W, qkv)
+	out, probs := compute.AttendForward(p.W, a.q, a.k, a.v, a.Heads/p.P, a.SeqLen, a.probs[:0])
+	a.probs = probs
 	return a.Proj.Forward(p, out)
-}
-
-func (a *Attention) attendForward(p *Proc, q, k, v *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.P
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	if q.Phantom() {
-		seqF := float64(q.Rows) / float64(s)
-		perHead := 4*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(q.Rows, q.Cols, true)
-	}
-	if q.Rows%s != 0 {
-		panic(fmt.Sprintf("megatron: attention rows %d not divisible by seq len %d", q.Rows, s))
-	}
-	nseq := q.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	out := ws.GetUninit(q.Rows, q.Cols) // every head block is overwritten below
-	a.probs = a.probs[:0]
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	scores := ws.GetUninit(s, s)
-	head := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			tensor.SubMatrixInto(qs, q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, v, sq*s, hd*dh)
-			compute.MatMulNTInto(p.W, scores, qs, ks)
-			tensor.ScaleInPlace(scores, scale)
-			probs := ws.GetUninit(s, s) // retained for the backward pass
-			compute.SoftmaxRowsTo(p.W, probs, scores)
-			a.probs = append(a.probs, probs)
-			head.Zero()
-			compute.MatMulInto(p.W, head, probs, vs)
-			out.SetSubMatrix(sq*s, hd*dh, head)
-		}
-	}
-	ws.Put(qs, ks, vs, scores, head)
-	return out
 }
 
 // Backward propagates through the module, recycling gradient intermediates
@@ -138,62 +79,11 @@ func (a *Attention) attendForward(p *Proc, q, k, v *tensor.Matrix) *tensor.Matri
 func (a *Attention) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 	ws := p.W.Workspace()
 	dout := a.Proj.Backward(p, dy)
-	dqkv := a.attendBackward(p, dout)
+	dqkv := compute.AttendBackward(p.W, dout, a.q, a.k, a.v, a.probs, a.Heads/p.P, a.SeqLen)
 	ws.Put(dout)
 	dx := a.QKV.Backward(p, dqkv)
 	ws.Put(dqkv)
 	return dx
-}
-
-func (a *Attention) attendBackward(p *Proc, dout *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.P
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	hp := a.H / p.P
-	if dout.Phantom() {
-		seqF := float64(dout.Rows) / float64(s)
-		perHead := 8*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(dout.Rows, 3*hp, true)
-	}
-	nseq := dout.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	dqkv := ws.GetUninit(dout.Rows, 3*hp) // every block is overwritten below
-	dhead := ws.GetUninit(s, dh)
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	dvs := ws.GetUninit(s, dh)
-	dprobs := ws.GetUninit(s, s)
-	dscores := ws.GetUninit(s, s)
-	dqs := ws.GetUninit(s, dh)
-	dks := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			probs := a.probs[sq*headsLocal+hd]
-			tensor.SubMatrixInto(dhead, dout, sq*s, hd*dh)
-			tensor.SubMatrixInto(qs, a.q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, a.k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, a.v, sq*s, hd*dh)
-
-			dvs.Zero()
-			compute.MatMulTNInto(p.W, dvs, probs, dhead)
-			compute.MatMulNTInto(p.W, dprobs, dhead, vs)
-			compute.SoftmaxRowsBackwardTo(p.W, dscores, probs, dprobs)
-			tensor.ScaleInPlace(dscores, scale)
-			dqs.Zero()
-			compute.MatMulInto(p.W, dqs, dscores, ks)
-			dks.Zero()
-			compute.MatMulTNInto(p.W, dks, dscores, qs)
-
-			dqkv.SetSubMatrix(sq*s, hd*dh, dqs)
-			dqkv.SetSubMatrix(sq*s, hp+hd*dh, dks)
-			dqkv.SetSubMatrix(sq*s, 2*hp+hd*dh, dvs)
-		}
-	}
-	ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
-	return dqkv
 }
 
 // The Block, MLP and LayerNorm wrappers that used to live here were

@@ -37,12 +37,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // AccumGrad adds g into the gradient accumulator.
 func (p *Param) AccumGrad(g *tensor.Matrix) { tensor.AddInPlace(p.Grad, g) }
 
-// Optimizer updates a parameter set from its accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and advances internal state.
-	Step(params []*Param)
-}
-
 // SGD is plain stochastic gradient descent with optional weight decay.
 type SGD struct {
 	LR          float64

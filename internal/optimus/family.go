@@ -1,3 +1,13 @@
+// Package optimus implements the 2-D tensor parallelism of Optimus (Xu et
+// al., §2.2 of the paper), the paper's second baseline. Optimus distributes
+// both activations and parameters over a q×q SUMMA mesh; structurally it is
+// exactly the d = 1 special case of Tesseract — the paper itself notes that
+// "d = 1 makes Tesseract a 2-D algorithm like SUMMA", and its Table 1/2
+// shapes [2,2] vs [2,2,1] confirm near-identical behaviour. This package
+// therefore registers a family that runs the shared SUMMA-based layer
+// implementations on a depth-1 mesh under Optimus' own 2-D layout (no
+// depth coordinate); keeping one implementation guarantees the baseline
+// and the contribution differ only in the dimension under study.
 package optimus
 
 import (

@@ -10,8 +10,7 @@
 // Slice, GatherPooled), how to build the distributed layers that operate on
 // that layout (NewLinear, NewBlock, NewLayerNorm, NewHead), and how a
 // training step finishes (DrainGradients, EndStep). Everything above —
-// vit.DistModel, the trainers, hybrid's DP×TP composition, the tables
-// runners — only ever sees these contracts, which is what lets
+// vit.DistModel, the trainers, the serving runtime, the tables runners — only ever sees these contracts, which is what lets
 // plan.Plan.Instantiate turn a searched layout directly into a trainable
 // model.
 //
@@ -38,10 +37,13 @@
 //
 // EndStep marks a training-step boundary: after the optimiser update (or
 // after an evaluation forward whose outputs were consumed), every rank
-// calls EndStep to recycle its workspace. Compositions that hand buffers
-// across workers by pointer (the hybrid pipeline) insert a barrier before
-// the release — see hybrid.Proc.EndStep — so a Family's EndStep must be
-// safe to call collectively at the same program point on every rank.
+// calls EndStep to recycle its workspace, after which every buffer the
+// step drew from it is dead. EndStep needs no barrier: every cross-worker
+// read of a rank's buffers completes inside the collective that made it
+// (a nonblocking one once its handle is waited; DrainGradients waits the
+// deferred gradient syncs), so once a rank reaches EndStep no other rank
+// still reads its memory.
+// Every rank calls it at the same program point.
 package parallel
 
 import (

@@ -21,9 +21,8 @@ type Layout struct {
 	// Ranks is the total processor count. Zero means "derive from the
 	// mesh" (q²·d) in Normalize.
 	Ranks int
-	// Base is the first cluster rank the family occupies, so several
-	// families can share a cluster (hybrid's pipeline stages and
-	// data-parallel replicas).
+	// Base is the first cluster rank the family occupies, so a family can
+	// run on a sub-range of a larger cluster's ranks.
 	Base int
 }
 

@@ -2,7 +2,6 @@ package seqpar
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/compute"
 	"repro/internal/nn"
@@ -44,10 +43,7 @@ func NewAttention(p *Proc, h, heads, seqLen int, rng *tensor.RNG) *Attention {
 	wo := tensor.XavierMatrix(h, h, rng)
 
 	bc := h / p.P
-	fused := tensor.HCat(
-		wq.SubMatrix(0, p.Rank*bc, h, bc),
-		wk.SubMatrix(0, p.Rank*bc, h, bc),
-		wv.SubMatrix(0, p.Rank*bc, h, bc))
+	fused := compute.FuseQKV(wq, wk, wv, p.P).SubMatrix(0, p.Rank*3*bc, h, 3*bc)
 
 	a := &Attention{H: h, Heads: heads, SeqLen: seqLen}
 	a.QKV = nn.NewParam("seqpar.attn.qkv.w", fused)
@@ -100,67 +96,18 @@ func (a *Attention) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 	compute.MatMulBiasInto(p.W, qkv, xFull, a.QKV.Value, a.QKVb.Value)
 	ws.Put(xFull)
 
-	aq := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	ak := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	av := ws.GetUninitMatch(qkv.Rows, hp, ph)
-	tensor.SubMatrixInto(aq, qkv, 0, 0)
-	tensor.SubMatrixInto(ak, qkv, 0, hp)
-	tensor.SubMatrixInto(av, qkv, 0, 2*hp)
+	a.q, a.k, a.v = compute.SplitQKV(p.W, qkv)
 	ws.Put(qkv)
-	a.q, a.k, a.v = aq, ak, av
-	out := a.attendForward(p, aq, ak, av)
-	a.out = out
+	a.out, a.probs = compute.AttendForward(p.W, a.q, a.k, a.v, a.Heads/p.P, a.SeqLen, a.probs[:0])
 
-	partial := ws.GetUninitMatch(out.Rows, a.H, ph)
+	partial := ws.GetUninitMatch(a.out.Rows, a.H, ph)
 	partial.Zero()
-	compute.MatMulInto(p.W, partial, out, a.Proj.Value)
+	compute.MatMulInto(p.W, partial, a.out, a.Proj.Value)
 	y := ws.GetUninitMatch(x.Rows, a.H, ph)
 	p.TP.ReduceScatterInto(p.W, partial, y)
 	ws.Put(partial)
 	compute.AddRowVectorInPlace(p.W, y, a.Projb.Value)
 	return y
-}
-
-func (a *Attention) attendForward(p *Proc, q, k, v *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.P
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	if q.Phantom() {
-		seqF := float64(q.Rows) / float64(s)
-		perHead := 4*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(q.Rows, q.Cols, true)
-	}
-	if q.Rows%s != 0 {
-		panic(fmt.Sprintf("seqpar: attention rows %d not divisible by seq len %d", q.Rows, s))
-	}
-	nseq := q.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	out := ws.GetUninit(q.Rows, q.Cols) // every head block is overwritten below
-	a.probs = a.probs[:0]
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	scores := ws.GetUninit(s, s)
-	head := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			tensor.SubMatrixInto(qs, q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, v, sq*s, hd*dh)
-			compute.MatMulNTInto(p.W, scores, qs, ks)
-			tensor.ScaleInPlace(scores, scale)
-			probs := ws.GetUninit(s, s) // retained for the backward pass
-			compute.SoftmaxRowsTo(p.W, probs, scores)
-			a.probs = append(a.probs, probs)
-			head.Zero()
-			compute.MatMulInto(p.W, head, probs, vs)
-			out.SetSubMatrix(sq*s, hd*dh, head)
-		}
-	}
-	ws.Put(qs, ks, vs, scores, head)
-	return out
 }
 
 // Backward propagates through the module. The output-gradient gather feeds
@@ -189,7 +136,7 @@ func (a *Attention) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 	ws.Put(a.out)
 	a.out = nil
 
-	dqkv := a.attendBackward(p, dout)
+	dqkv := compute.AttendBackward(p.W, dout, a.q, a.k, a.v, a.probs, a.Heads/p.P, a.SeqLen)
 	ws.Put(dout)
 	ws.Put(a.q, a.k, a.v)
 	a.q, a.k, a.v = nil, nil, nil
@@ -217,57 +164,6 @@ func (a *Attention) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 	hnd.Wait()
 	ws.Put(dqkv, dxFull)
 	return dx
-}
-
-func (a *Attention) attendBackward(p *Proc, dout *tensor.Matrix) *tensor.Matrix {
-	ws := p.W.Workspace()
-	headsLocal := a.Heads / p.P
-	dh := a.H / a.Heads
-	s := a.SeqLen
-	hp := a.H / p.P
-	if dout.Phantom() {
-		seqF := float64(dout.Rows) / float64(s)
-		perHead := 8*float64(s)*float64(s)*float64(dh) + compute.FlopsPerSoftmax*float64(s)*float64(s)
-		p.W.Compute(seqF * float64(headsLocal) * perHead)
-		return ws.GetUninitMatch(dout.Rows, 3*hp, true)
-	}
-	nseq := dout.Rows / s
-	scale := 1 / math.Sqrt(float64(dh))
-	dqkv := ws.GetUninit(dout.Rows, 3*hp) // every block is overwritten below
-	dhead := ws.GetUninit(s, dh)
-	qs := ws.GetUninit(s, dh)
-	ks := ws.GetUninit(s, dh)
-	vs := ws.GetUninit(s, dh)
-	dvs := ws.GetUninit(s, dh)
-	dprobs := ws.GetUninit(s, s)
-	dscores := ws.GetUninit(s, s)
-	dqs := ws.GetUninit(s, dh)
-	dks := ws.GetUninit(s, dh)
-	for sq := 0; sq < nseq; sq++ {
-		for hd := 0; hd < headsLocal; hd++ {
-			probs := a.probs[sq*headsLocal+hd]
-			tensor.SubMatrixInto(dhead, dout, sq*s, hd*dh)
-			tensor.SubMatrixInto(qs, a.q, sq*s, hd*dh)
-			tensor.SubMatrixInto(ks, a.k, sq*s, hd*dh)
-			tensor.SubMatrixInto(vs, a.v, sq*s, hd*dh)
-
-			dvs.Zero()
-			compute.MatMulTNInto(p.W, dvs, probs, dhead)
-			compute.MatMulNTInto(p.W, dprobs, dhead, vs)
-			compute.SoftmaxRowsBackwardTo(p.W, dscores, probs, dprobs)
-			tensor.ScaleInPlace(dscores, scale)
-			dqs.Zero()
-			compute.MatMulInto(p.W, dqs, dscores, ks)
-			dks.Zero()
-			compute.MatMulTNInto(p.W, dks, dscores, qs)
-
-			dqkv.SetSubMatrix(sq*s, hd*dh, dqs)
-			dqkv.SetSubMatrix(sq*s, hp+hd*dh, dks)
-			dqkv.SetSubMatrix(sq*s, 2*hp+hd*dh, dvs)
-		}
-	}
-	ws.Put(dhead, qs, ks, vs, dvs, dprobs, dscores, dqs, dks)
-	return dqkv
 }
 
 // MLP is the sequence-parallel feed-forward module: column-parallel fc1

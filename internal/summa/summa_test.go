@@ -29,6 +29,7 @@ func TestMulABMatchesSerial(t *testing.T) {
 		{2, 1, 8, 6, 10},
 		{2, 2, 8, 6, 10},
 		{3, 1, 9, 6, 12},
+		{4, 1, 16, 8, 12},
 		{4, 2, 16, 8, 12},
 		{4, 4, 16, 8, 12},
 	} {

@@ -16,7 +16,6 @@
 package tensor
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -204,9 +203,6 @@ func (m *Matrix) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// ErrShape is returned (wrapped) by checked operations when shapes disagree.
-var ErrShape = errors.New("tensor: shape mismatch")
 
 // MaxAbsDiff returns the largest absolute element difference between m and n.
 // It panics on shape mismatch and returns 0 when either operand is phantom.

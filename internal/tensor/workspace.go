@@ -144,9 +144,6 @@ func NewWorkspace() *Workspace {
 // reference path the bitwise property tests compare against.
 func (ws *Workspace) SetPooling(enabled bool) { ws.pooling = enabled }
 
-// Pooling reports whether recycling is enabled.
-func (ws *Workspace) Pooling() bool { return ws.pooling }
-
 // Stats returns a snapshot of the pool counters.
 func (ws *Workspace) Stats() WorkspaceStats { return ws.stats }
 

@@ -57,7 +57,7 @@ func (f *Family) Layout() parallel.Layout { return f.layout }
 func (f *Family) Worker() *dist.Worker { return f.p.W }
 
 // Proc exposes the underlying mesh view for Tesseract-specific callers
-// (tests, hybrid's rank arithmetic).
+// (tests).
 func (f *Family) Proc() *Proc { return f.p }
 
 // RowShards returns d·q: activation rows split across the depth layers and
@@ -164,8 +164,7 @@ func (b bound) Params() []*nn.Param                       { return b.m.Params() 
 func (b bound) State() []parallel.State                   { return b.m.State(b.p) }
 
 // BlockLayer is the bound Block, kept as a named type so
-// Tesseract-specific callers (tests, hybrid's gradient inspection) can
-// reach the underlying struct.
+// Tesseract-specific callers (tests) can reach the underlying struct.
 type BlockLayer struct {
 	bound
 }

@@ -22,14 +22,6 @@ func Run(t *testing.T, worldSize int, fn func(w *dist.Worker) error) *dist.Clust
 	return c
 }
 
-// RunCluster executes fn on an existing cluster and fails the test on error.
-func RunCluster(t *testing.T, c *dist.Cluster, fn func(w *dist.Worker) error) {
-	t.Helper()
-	if err := c.Run(fn); err != nil {
-		t.Fatalf("cluster run failed: %v", err)
-	}
-}
-
 // Collector gathers one result per rank, safely across worker goroutines.
 type Collector struct {
 	mu   sync.Mutex
@@ -51,13 +43,6 @@ func (c *Collector) Get(rank int) *tensor.Matrix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.vals[rank]
-}
-
-// Len returns the number of stored results.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.vals)
 }
 
 // CheckClose fails the test unless got and want agree elementwise within tol.
