@@ -80,6 +80,28 @@ func MatMulBiasGELUInto(w *dist.Worker, act, pre, a, b, bias *tensor.Matrix) {
 	tensor.MatMulBiasGELUInto(act, pre, a, b, bias)
 }
 
+// LinearForward computes x·wt + bias, then GELU when gelu is set, into
+// fresh workspace buffers with the bias add and activation fused into the
+// GEMM write-back; bias may be nil. It returns the output and the
+// pre-activation, which are one buffer unless gelu is set.
+func LinearForward(w *dist.Worker, x, wt, bias *tensor.Matrix, gelu bool) (out, pre *tensor.Matrix) {
+	ws := w.Workspace()
+	ph := x.Phantom() || wt.Phantom()
+	pre = ws.GetUninitMatch(x.Rows, wt.Cols, ph)
+	pre.Zero()
+	switch {
+	case gelu:
+		out = ws.GetUninitMatch(x.Rows, wt.Cols, ph)
+		MatMulBiasGELUInto(w, out, pre, x, wt, bias)
+		return out, pre
+	case bias != nil:
+		MatMulBiasInto(w, pre, x, wt, bias)
+	default:
+		MatMulInto(w, pre, x, wt)
+	}
+	return pre, pre
+}
+
 // AddTo computes dst = a+b (dst may alias either operand), one flop per
 // element.
 func AddTo(w *dist.Worker, dst, a, b *tensor.Matrix) {

@@ -17,7 +17,7 @@ func init() {
 		return nil
 	})
 	parallel.Register("megatron", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
-		return &Family{p: NewProcAt(w, l.Ranks, l.Base), layout: l}, nil
+		return NewFamilyAt(w, l), nil
 	})
 }
 
@@ -28,16 +28,20 @@ func init() {
 // replication is this family's distribution — and the Transformer block is
 // the shared parallel.Block composition over this package's column/row
 // linears and attention, with parallel.ReplicatedLayerNorm for the
-// un-sharded layer norms.
+// un-sharded layer norms. internal/seqpar embeds it, overriding only how
+// activations are distributed; its blocks come from here in the
+// sequence-parallel style.
 type Family struct {
-	p      *Proc
+	*Proc
 	layout parallel.Layout
 }
 
-// NewFamily attaches the calling worker to the tensor-parallel group
-// spanning cluster ranks [0, p) and returns the family view.
-func NewFamily(w *dist.Worker, p int) *Family {
-	return &Family{p: NewProc(w, p), layout: parallel.Layout{Family: "megatron", Ranks: p}}
+// NewFamilyAt attaches the calling worker to the tensor-parallel group
+// spanning cluster ranks [l.Base, l.Base+l.Ranks). The layout's family
+// name selects the layer style: "seqpar" runs the sequence-parallel
+// brackets and memory policy, any other name Megatron-LM's.
+func NewFamilyAt(w *dist.Worker, l parallel.Layout) *Family {
+	return &Family{Proc: newProc(w, l), layout: l}
 }
 
 // Name returns "megatron".
@@ -47,10 +51,7 @@ func (f *Family) Name() string { return "megatron" }
 func (f *Family) Layout() parallel.Layout { return f.layout }
 
 // Worker returns the rank's cluster view.
-func (f *Family) Worker() *dist.Worker { return f.p.W }
-
-// Proc exposes the underlying tensor-parallel view.
-func (f *Family) Proc() *Proc { return f.p }
+func (f *Family) Worker() *dist.Worker { return f.W }
 
 // RowShards returns 1: activations are replicated, never row-split.
 func (f *Family) RowShards() int { return 1 }
@@ -60,37 +61,37 @@ func (f *Family) RowShards() int { return 1 }
 // replicated input to a replicated output (the ViT patch embedding) is
 // computed redundantly on every rank, exactly like the classifier head.
 func (f *Family) NewLinear(in, out int, act nn.Activation, bias bool, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewReplicatedLinearAt(f.p.W, f.layout.Base, in, out, act, bias, rng)
+	return parallel.NewReplicatedLinearAt(f.W, f.layout.Base, in, out, act, bias, rng)
 }
 
-// NewBlock builds one Megatron-parallel Transformer block via the shared
-// composition, drawing parameters from rng in the serial order
+// NewBlock builds one Transformer block in the family's style via the
+// shared composition, drawing parameters from rng in the serial order
 // (attention Wq..Wo, then MLP Fc1, Fc2).
 func (f *Family) NewBlock(h, heads, seqLen int, rng *tensor.RNG) parallel.Layer {
-	attn := bound{p: f.p, m: NewAttention(f.p, h, heads, seqLen, rng)}
-	mlp := newMLP(f.p, h, rng)
-	return parallel.NewBlock(f.p.W, h, attn, f.NewLayerNorm(h), mlp, f.NewLayerNorm(h))
+	attn := NewAttention(f.Proc, h, heads, seqLen, rng)
+	return f.newBlock(h, attn, newMLP(f.Proc, h, rng))
 }
 
 // NewBlockPhantom builds the shape-only block for paper-scale timing.
 func (f *Family) NewBlockPhantom(h, heads, seqLen int) parallel.Layer {
-	attn := bound{p: f.p, m: NewAttentionPhantom(f.p, h, heads, seqLen)}
-	mlp := parallel.NewSequence(
-		bound{p: f.p, m: NewColLinearPhantom(f.p, h, 4*h, nn.ActGELU, true)},
-		bound{p: f.p, m: NewRowLinearPhantom(f.p, 4*h, h, true)},
-	)
-	return parallel.NewBlock(f.p.W, h, attn, f.NewLayerNorm(h), mlp, f.NewLayerNorm(h))
+	attn := NewAttentionPhantom(f.Proc, h, heads, seqLen)
+	return f.newBlock(h, attn, newMLPPhantom(f.Proc, h))
 }
 
-// NewLayerNorm builds the replicated (un-sharded) layer norm.
+func (f *Family) newBlock(h int, attn, mlp procModule) parallel.Layer {
+	return parallel.NewBlock(f.W, h, bound{f.Proc, attn}, f.NewLayerNorm(h), bound{f.Proc, mlp}, f.NewLayerNorm(h))
+}
+
+// NewLayerNorm builds the replicated layer norm — row-local arithmetic, so
+// on row-sharded activations it simply normalises the local rows.
 func (f *Family) NewLayerNorm(h int) parallel.Layer {
-	return parallel.NewReplicatedLayerNorm(f.p.W, h)
+	return parallel.NewReplicatedLayerNorm(f.W, h)
 }
 
 // NewHead builds the replicated classifier head; the group base rank is its
 // checkpoint primary.
 func (f *Family) NewHead(in, out int, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewReplicatedLinearAt(f.p.W, f.layout.Base, in, out, nn.ActNone, true, rng)
+	return parallel.NewReplicatedLinearAt(f.W, f.layout.Base, in, out, nn.ActNone, true, rng)
 }
 
 // Distribute is the identity: every rank holds the full activation.
@@ -113,16 +114,7 @@ func (f *Family) GatherPooled(local *tensor.Matrix) *tensor.Matrix { return loca
 func (f *Family) DrainGradients() {}
 
 // EndStep recycles the rank's workspace at the step boundary.
-func (f *Family) EndStep() { f.p.W.Workspace().ReleaseAll() }
-
-// newMLP chains the column-parallel h→4h GELU linear with the row-parallel
-// 4h→h linear, drawing Fc1, Fc2 from rng in the serial order.
-func newMLP(p *Proc, h int, rng *tensor.RNG) parallel.Layer {
-	return parallel.NewSequence(
-		bound{p: p, m: NewColLinear(p, h, 4*h, nn.ActGELU, true, rng)},
-		bound{p: p, m: NewRowLinear(p, 4*h, h, true, rng)},
-	)
-}
+func (f *Family) EndStep() { f.W.Workspace().ReleaseAll() }
 
 // procModule is the method shape every sub-layer in this package shares:
 // forward/backward over the group view plus the owned parameter shards.

@@ -1,11 +1,27 @@
 // Package megatron implements the 1-D tensor parallelism of Megatron-LM
 // (Shoeybi et al., §2.5 and Figure 2 of the paper), the paper's first
-// baseline. Parameter matrices are split along one dimension across all p
-// processors of the tensor-parallel group; activations are fully replicated
-// on every processor — which is exactly the memory cost Eq. 9 charges it
-// with. Each Transformer sub-module pairs a column-parallel linear with a
-// row-parallel linear so that one all-reduce per module (two per layer)
-// restores the replicated activation.
+// baseline, and its sequence-parallel style (Korthikanti et al.,
+// "Reducing Activation Recomputation in Large Transformer Models"). Both
+// split every parameter matrix along one dimension across the p processors
+// of the group — column-parallel QKV and fc1, row-parallel projection and
+// fc2 — so their weights, checkpoint rectangles, attention kernel and
+// planner coster are one implementation. The style, chosen by the
+// registered family name, decides only the activation choreography:
+//
+//   - Megatron-LM ("megatron") replicates activations on every processor,
+//     which is exactly the memory cost Eq. 9 charges it with. The input
+//     bracket of a column/row pair is the identity and the output bracket
+//     an all-reduce: one per module, two per layer per direction.
+//   - Sequence parallelism ("seqpar", registered by internal/seqpar) shards
+//     activations along rows. The input bracket all-gathers full rows — a
+//     transient buffer, re-gathered in the backward pass — and the output
+//     bracket reduce-scatters the partial product back to the local rows.
+//     One all-gather plus one reduce-scatter moves the bytes of one
+//     all-reduce. Its backward pass overlaps the input-gradient
+//     reduce-scatter with the weight-gradient GEMMs, releases intermediates
+//     the moment their last reader is done, and recomputes the fc1 GELU
+//     output from the saved pre-activation instead of retaining it — so a
+//     rank holds 1/p of Megatron's activations.
 package megatron
 
 import (
@@ -14,10 +30,11 @@ import (
 	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
-// Proc is one processor's view of a Megatron tensor-parallel group.
+// Proc is one processor's view of a 1-D tensor-parallel group.
 type Proc struct {
 	W *dist.Worker
 	// P is the tensor-parallel size.
@@ -27,33 +44,64 @@ type Proc struct {
 	Rank int
 	// TP is the tensor-parallel communicator.
 	TP *dist.Group
+
+	// seq selects the sequence-parallel style: row-sharded activations,
+	// all-gather/reduce-scatter brackets and eager release.
+	seq bool
 }
 
-// NewProc attaches the calling worker to the tensor-parallel group spanning
-// cluster ranks [0, p).
-func NewProc(w *dist.Worker, p int) *Proc {
-	return NewProcAt(w, p, 0)
-}
-
-// NewProcAt attaches the calling worker to the tensor-parallel group
-// spanning cluster ranks [base, base+p) — used when composing with data or
-// pipeline parallelism, where each stage's group starts at its own base.
-func NewProcAt(w *dist.Worker, p, base int) *Proc {
-	ranks := make([]int, p)
+// newProc attaches the calling worker to the group spanning cluster ranks
+// [l.Base, l.Base+l.Ranks), in the style l.Family names.
+func newProc(w *dist.Worker, l parallel.Layout) *Proc {
+	ranks := make([]int, l.Ranks)
 	for i := range ranks {
-		ranks[i] = base + i
+		ranks[i] = l.Base + i
 	}
 	g := w.Cluster().Group(ranks...)
 	idx := g.Index(w.Rank())
 	if idx < 0 {
-		panic(fmt.Sprintf("megatron: rank %d outside tensor-parallel group [%d,%d)", w.Rank(), base, base+p))
+		panic(fmt.Sprintf("%s: rank %d outside tensor-parallel group [%d,%d)", l.Family, w.Rank(), l.Base, l.Base+l.Ranks))
 	}
-	return &Proc{W: w, P: p, Rank: idx, TP: g}
+	return &Proc{W: w, P: l.Ranks, Rank: idx, TP: g, seq: l.Family == "seqpar"}
 }
 
-// ColLinear is a column-parallel linear layer: W is split [In, Out/p], the
-// replicated input multiplies the local shard with no communication, and the
-// backward pass all-reduces the input gradient (Figure 2, left path).
+// Gather all-gathers a row-sharded activation into a pooled full-row
+// buffer: member blocks concatenate in group order, which is the global
+// row order the sequence-parallel Distribute slices by. The caller owns
+// the result.
+func (p *Proc) Gather(x *tensor.Matrix) *tensor.Matrix {
+	full := p.W.Workspace().GetUninitMatch(p.P*x.Rows, x.Cols, x.Phantom())
+	return p.TP.AllGatherInto(p.W, x, full)
+}
+
+// reduce is the output bracket of a row-parallel product: Megatron
+// all-reduces the partial sums in place; sequence parallelism
+// reduce-scatters them into a pooled row shard and releases the partials.
+func (p *Proc) reduce(y *tensor.Matrix) *tensor.Matrix {
+	if !p.seq {
+		return p.TP.AllReduceInto(p.W, y, y)
+	}
+	ws := p.W.Workspace()
+	shard := ws.GetUninitMatch(y.Rows/p.P, y.Cols, y.Phantom())
+	p.TP.ReduceScatterInto(p.W, y, shard)
+	ws.Put(y)
+	return shard
+}
+
+// release is the activation-memory policy: sequence parallelism returns
+// intermediates to the workspace as soon as their last reader is done;
+// Megatron lets them ride to the step boundary.
+func (p *Proc) release(ms ...*tensor.Matrix) {
+	if p.seq {
+		p.W.Workspace().Put(ms...)
+	}
+}
+
+// ColLinear is a column-parallel linear layer: W is split [In, Out/p] and
+// the input multiplies the local shard with no communication beyond the
+// input bracket (Figure 2, left path). The backward pass sums the input
+// gradient across the group: an all-reduce, or in the sequence-parallel
+// style a nonblocking reduce-scatter hidden behind the weight gradients.
 type ColLinear struct {
 	In, Out int
 	Act     nn.Activation
@@ -91,82 +139,85 @@ func NewColLinearPhantom(p *Proc, in, out int, act nn.Activation, bias bool) *Co
 }
 
 // Params returns the local shards.
-func (l *ColLinear) Params() []*nn.Param {
-	if l.B == nil {
-		return []*nn.Param{l.W}
-	}
-	return []*nn.Param{l.W, l.B}
-}
+func (l *ColLinear) Params() []*nn.Param { return params(l.W, l.B) }
 
-// Forward multiplies the replicated input by the local column shard, with
-// the bias add and optional GELU fused into the GEMM write-back. The
-// pre-activation (and activation) are workspace buffers retained until the
-// step-boundary ReleaseAll.
+// Forward multiplies the input by the local column shard, with the bias
+// add and optional GELU fused into the GEMM write-back. The sequence-
+// parallel style first gathers the row shard to full rows and releases
+// them right after the GEMM. The pre-activation (and activation) are
+// workspace buffers.
 func (l *ColLinear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	ws := p.W.Workspace()
-	ph := x.Phantom() || l.W.Value.Phantom()
-	pre := ws.GetUninitMatch(x.Rows, l.W.Value.Cols, ph)
-	pre.Zero()
-	l.pre = pre
+	in := x
+	if p.seq {
+		in = p.Gather(x)
+	}
 	var bias *tensor.Matrix
 	if l.B != nil {
 		bias = l.B.Value
 	}
-	if l.Act == nn.ActGELU {
-		act := ws.GetUninitMatch(x.Rows, l.W.Value.Cols, ph)
-		compute.MatMulBiasGELUInto(p.W, act, pre, x, l.W.Value, bias)
-		return act
-	}
-	if bias != nil {
-		compute.MatMulBiasInto(p.W, pre, x, l.W.Value, bias)
-	} else {
-		compute.MatMulInto(p.W, pre, x, l.W.Value)
-	}
-	return pre
+	var out *tensor.Matrix
+	out, l.pre = compute.LinearForward(p.W, in, l.W.Value, bias, l.Act == nn.ActGELU)
+	p.release(in)
+	return out
 }
 
-// Backward accumulates shard gradients and all-reduces the input gradient so
-// it is replicated again. Gradient intermediates are pooled and recycled;
-// the returned buffer is owned by the caller.
+// Backward accumulates shard gradients and sums the input gradient across
+// the group. Megatron all-reduces the replicated gradient after the weight
+// gradients. The sequence-parallel style issues the reduce-scatter first
+// and hides it behind the weight gradients over the re-gathered input; it
+// also writes the GELU gradient over dy in place and releases the saved
+// pre-activation. The returned buffer is owned by the caller.
 func (l *ColLinear) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 	ws := p.W.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
 	var dyScratch *tensor.Matrix
 	if l.Act == nn.ActGELU {
-		g := ws.GetUninitMatch(dy.Rows, dy.Cols, dy.Phantom() || l.pre.Phantom())
+		g := dy
+		if !p.seq {
+			g = ws.GetUninitMatch(dy.Rows, dy.Cols, dy.Phantom() || l.pre.Phantom())
+			dyScratch = g
+		}
 		compute.GELUGradHadamardTo(p.W, g, l.pre, dy)
-		dy, dyScratch = g, g
+		p.release(l.pre)
+		dy = g
 	}
-	dw := ws.GetUninitMatch(l.W.Value.Rows, l.W.Value.Cols, ph)
-	dw.Zero()
-	compute.MatMulTNInto(p.W, dw, l.x, dy)
-	l.W.AccumGrad(dw)
-	ws.Put(dw)
-	if l.B != nil {
-		db := ws.GetUninitMatch(1, dy.Cols, ph)
-		compute.ColSumsInto(p.W, db, dy)
-		l.B.AccumGrad(db)
-		ws.Put(db)
+	if !p.seq {
+		weightGrads(p, l.W, l.B, l.x, dy)
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
 	compute.MatMulNTInto(p.W, dx, dy, l.W.Value)
-	if dyScratch != nil {
-		ws.Put(dyScratch)
+	if !p.seq {
+		if dyScratch != nil {
+			ws.Put(dyScratch)
+		}
+		return p.TP.AllReduceInto(p.W, dx, dx)
 	}
-	return p.TP.AllReduceInto(p.W, dx, dx)
+	shard := ws.GetUninitMatch(dx.Rows/p.P, l.In, ph)
+	h := p.TP.IReduceScatterInto(p.W, dx, shard)
+	x := p.Gather(l.x)
+	weightGrads(p, l.W, l.B, x, dy)
+	ws.Put(x)
+	h.Wait()
+	ws.Put(dx)
+	return shard
 }
 
-// RowLinear is a row-parallel linear layer: W is split [In/p, Out], the
-// partial products are all-reduced in the forward pass (Figure 2, right
-// path), and the backward pass needs no communication because the output
-// gradient is replicated.
+// RowLinear is a row-parallel linear layer: W is split [In/p, Out] and the
+// partial products go through the output bracket (Figure 2, right path).
+// The backward pass needs no communication beyond gathering the output
+// gradient in the sequence-parallel style.
 type RowLinear struct {
 	In, Out int
 	W       *nn.Param // [In/p, Out]
 	B       *nn.Param // [1, Out], replicated (identical update on all ranks)
 
-	x *tensor.Matrix
+	// gelu, when set, is the GELU column linear whose output feeds this
+	// one. The sequence-parallel style releases that output right after
+	// the forward GEMM and recomputes it from gelu's pre-activation in
+	// the backward pass.
+	gelu *ColLinear
+	x    *tensor.Matrix
 }
 
 // NewRowLinear draws the full Xavier weight from rng and keeps the local row
@@ -196,23 +247,20 @@ func NewRowLinearPhantom(p *Proc, in, out int, bias bool) *RowLinear {
 }
 
 // Params returns the local shards.
-func (l *RowLinear) Params() []*nn.Param {
-	if l.B == nil {
-		return []*nn.Param{l.W}
-	}
-	return []*nn.Param{l.W, l.B}
-}
+func (l *RowLinear) Params() []*nn.Param { return params(l.W, l.B) }
 
-// Forward multiplies the sharded input by the local row shard, all-reduces
-// the partial outputs in place, and adds the bias to the reduced sum. The
-// output is a workspace buffer retained until the step boundary.
+// Forward multiplies the sharded input by the local row shard, sums the
+// partial outputs through the output bracket, and adds the bias to the
+// reduced sum. The output is a workspace buffer.
 func (l *RowLinear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	ws := p.W.Workspace()
-	y := ws.GetUninitMatch(x.Rows, l.Out, x.Phantom() || l.W.Value.Phantom())
+	y := p.W.Workspace().GetUninitMatch(x.Rows, l.Out, x.Phantom() || l.W.Value.Phantom())
 	y.Zero()
 	compute.MatMulInto(p.W, y, x, l.W.Value)
-	p.TP.AllReduceInto(p.W, y, y)
+	if l.gelu != nil {
+		p.release(x)
+	}
+	y = p.reduce(y)
 	if l.B != nil {
 		compute.AddRowVectorInPlace(p.W, y, l.B.Value)
 	}
@@ -220,24 +268,54 @@ func (l *RowLinear) Forward(p *Proc, x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward accumulates shard gradients and returns the sharded input
-// gradient without communication, out of pooled buffers.
+// gradient out of pooled buffers. The sequence-parallel style gathers the
+// output gradient to full rows first, and releases the saved input (or
+// its recomputed GELU output) and the gathered rows once read — so in
+// that style the layer owns the input it was given.
 func (l *RowLinear) Backward(p *Proc, dy *tensor.Matrix) *tensor.Matrix {
 	ws := p.W.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
-	dw := ws.GetUninitMatch(l.W.Value.Rows, l.Out, ph)
-	dw.Zero()
-	compute.MatMulTNInto(p.W, dw, l.x, dy)
-	l.W.AccumGrad(dw)
-	ws.Put(dw)
-	if l.B != nil {
-		db := ws.GetUninitMatch(1, l.Out, ph)
-		compute.ColSumsInto(p.W, db, dy)
-		l.B.AccumGrad(db)
-		ws.Put(db)
+	x := l.x
+	if p.seq {
+		dy = p.Gather(dy)
+		if l.gelu != nil {
+			pre := l.gelu.pre
+			x = ws.GetUninitMatch(pre.Rows, pre.Cols, ph)
+			compute.GELUTo(p.W, x, pre)
+		}
 	}
+	weightGrads(p, l.W, l.B, x, dy)
+	p.release(x)
 	dx := ws.GetUninitMatch(dy.Rows, l.W.Value.Rows, ph)
 	compute.MatMulNTInto(p.W, dx, dy, l.W.Value)
+	p.release(dy)
 	return dx
+}
+
+// weightGrads accumulates dW = xᵀ·dy and db = colsum(dy) (when b is set)
+// out of pooled buffers.
+func weightGrads(p *Proc, w, b *nn.Param, x, dy *tensor.Matrix) {
+	ws := p.W.Workspace()
+	ph := dy.Phantom() || w.Value.Phantom()
+	dw := ws.GetUninitMatch(w.Value.Rows, w.Value.Cols, ph)
+	dw.Zero()
+	compute.MatMulTNInto(p.W, dw, x, dy)
+	w.AccumGrad(dw)
+	ws.Put(dw)
+	if b != nil {
+		db := ws.GetUninitMatch(1, b.Value.Cols, ph)
+		compute.ColSumsInto(p.W, db, dy)
+		b.AccumGrad(db)
+		ws.Put(db)
+	}
+}
+
+// params lists a weight and its optional bias.
+func params(w, b *nn.Param) []*nn.Param {
+	if b == nil {
+		return []*nn.Param{w}
+	}
+	return []*nn.Param{w, b}
 }
 
 func zerosMaybePhantom(rows, cols int, phantom bool) *tensor.Matrix {

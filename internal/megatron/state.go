@@ -58,3 +58,9 @@ func (a *Attention) State(p *Proc) []parallel.State {
 	}
 	return append([]parallel.State{w, b}, a.Proj.State(p)...)
 }
+
+// State maps fc1's column shard and fc2's row shard onto the canonical
+// [h, 4h] and [4h, h] weights.
+func (m *mlp) State(p *Proc) []parallel.State {
+	return append(m.fc1.State(p), m.fc2.State(p)...)
+}

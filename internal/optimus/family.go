@@ -30,7 +30,8 @@ func init() {
 		return nil
 	})
 	parallel.Register("optimus", func(w *dist.Worker, l parallel.Layout) (parallel.Family, error) {
-		return newFamily(w, l), nil
+		inner := tesseract.NewFamilyAt(w, mesh.Shape{Q: l.Q, D: 1, Base: l.Base})
+		return &Family{Family: inner, layout: l}, nil
 	})
 }
 
@@ -42,17 +43,6 @@ func init() {
 type Family struct {
 	*tesseract.Family
 	layout parallel.Layout
-}
-
-// NewFamily attaches the calling worker to a q×q mesh based at rank 0 and
-// returns the family view.
-func NewFamily(w *dist.Worker, q int) *Family {
-	return newFamily(w, parallel.Layout{Family: "optimus", Q: q, D: 1, Ranks: q * q})
-}
-
-func newFamily(w *dist.Worker, l parallel.Layout) *Family {
-	inner := tesseract.NewFamilyAt(w, mesh.Shape{Q: l.Q, D: 1, Base: l.Base})
-	return &Family{Family: inner, layout: l}
 }
 
 // Name returns "optimus".

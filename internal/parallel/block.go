@@ -20,8 +20,8 @@ import (
 // from the worker's workspace, so the caller owns the returned gradient
 // buffer; gradient intermediates produced by the sub-layers are left to
 // their family's own lifetime regime (Tesseract's specialised
-// tesseract.Block recycles them eagerly; families composed here simply
-// let theirs reach the step boundary or the garbage collector).
+// tesseract.Block and the sequence-parallel style of megatron's layers
+// recycle them eagerly; Megatron lets them reach the step boundary).
 type Block struct {
 	// H is the full hidden width.
 	H int

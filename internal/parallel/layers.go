@@ -16,7 +16,8 @@ import (
 // (replicated pooled features in, replicated logits out, parameters
 // bit-identical across ranks because the inputs are); Megatron also uses
 // it for the patch embedding, since its activations are replicated
-// everywhere.
+// everywhere, and sequence parallelism embeds it in a patch embedding
+// over row-sharded inputs whose gradients it all-reduces.
 //
 // The forward and backward passes run out of workspace buffers with the
 // bias add and GELU fused into the GEMM write-back — bitwise identical to
@@ -34,15 +35,9 @@ type ReplicatedLinear struct {
 	pre *tensor.Matrix
 }
 
-// NewReplicatedLinear draws the full weight from rng (the serial stream)
-// and replicates it on the calling rank, with rank 0 as the checkpoint
-// primary — right for families based at rank 0.
-func NewReplicatedLinear(w *dist.Worker, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
-	return NewReplicatedLinearAt(w, 0, in, out, act, bias, rng)
-}
-
-// NewReplicatedLinearAt is NewReplicatedLinear with an explicit checkpoint
-// primary — families not based at rank 0 pass their base rank.
+// NewReplicatedLinearAt draws the full weight from rng (the serial stream)
+// and replicates it on the calling rank. primary is the rank that writes
+// it into a checkpoint — the family's base rank.
 func NewReplicatedLinearAt(w *dist.Worker, primary, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *ReplicatedLinear {
 	return &ReplicatedLinear{Linear: nn.NewLinear(in, out, act, bias, rng), w: w, primary: primary}
 }
@@ -218,47 +213,3 @@ func (l *ReplicatedLayerNorm) Params() []*nn.Param { return nil }
 
 // State returns nil: nothing to checkpoint.
 func (l *ReplicatedLayerNorm) State() []State { return nil }
-
-// Sequence chains layers: Forward applies them left to right, Backward
-// right to left. Megatron's MLP is a Sequence of its column- and
-// row-parallel linears.
-type Sequence struct {
-	layers []Layer
-}
-
-// NewSequence builds the chain.
-func NewSequence(layers ...Layer) *Sequence { return &Sequence{layers: layers} }
-
-// Forward applies every layer in order.
-func (s *Sequence) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, l := range s.layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates in reverse order.
-func (s *Sequence) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.layers) - 1; i >= 0; i-- {
-		dy = s.layers[i].Backward(dy)
-	}
-	return dy
-}
-
-// Params concatenates the chain's parameters in layer order.
-func (s *Sequence) Params() []*nn.Param {
-	var out []*nn.Param
-	for _, l := range s.layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
-
-// State concatenates the chain's canonical slots in layer order.
-func (s *Sequence) State() []State {
-	var out []State
-	for _, l := range s.layers {
-		out = append(out, l.State()...)
-	}
-	return out
-}

@@ -81,38 +81,6 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	Register("parallel-test-dup", func(w *dist.Worker, l Layout) (Family, error) { return nil, nil })
 }
 
-func TestSequenceChainsAndReverses(t *testing.T) {
-	c := dist.New(dist.Config{WorldSize: 1})
-	if err := c.Run(func(w *dist.Worker) error {
-		rng := tensor.NewRNG(3)
-		a := NewReplicatedLinear(w, 4, 6, nn.ActGELU, true, rng)
-		b := NewReplicatedLinear(w, 6, 4, nn.ActNone, true, rng)
-		seq := NewSequence(a, b)
-
-		refA := nn.NewLinear(4, 6, nn.ActGELU, true, tensor.NewRNG(3))
-		rng2 := tensor.NewRNG(3)
-		tensor.XavierMatrix(4, 6, rng2) // consume a's weight draw
-		refB := nn.NewLinear(6, 4, nn.ActNone, true, rng2)
-
-		x := tensor.RandomMatrix(5, 4, tensor.NewRNG(9))
-		dy := tensor.RandomMatrix(5, 4, tensor.NewRNG(10))
-		want := refB.Forward(refA.Forward(x))
-		if got := seq.Forward(x); !got.Equal(want) {
-			t.Errorf("Sequence.Forward diverged: %g", got.MaxAbsDiff(want))
-		}
-		wantDx := refA.Backward(refB.Backward(dy))
-		if got := seq.Backward(dy); !got.Equal(wantDx) {
-			t.Errorf("Sequence.Backward diverged: %g", got.MaxAbsDiff(wantDx))
-		}
-		if got, want := len(seq.Params()), len(refA.Params())+len(refB.Params()); got != want {
-			t.Errorf("Sequence.Params = %d, want %d", got, want)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReplicatedLayersChargeTheClock(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
@@ -125,7 +93,7 @@ func TestReplicatedLayersChargeTheClock(t *testing.T) {
 		if ln.Params() != nil {
 			t.Error("layer norm must be parameter-free")
 		}
-		lin := NewReplicatedLinear(w, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
+		lin := NewReplicatedLinearAt(w, 0, 8, 2, nn.ActNone, true, tensor.NewRNG(2))
 		lin.Forward(x)
 		lin.Backward(tensor.RandomMatrix(4, 2, tensor.NewRNG(3)))
 		return nil

@@ -62,6 +62,9 @@ func (w Workload) Tokens() int { return w.Batch * w.SeqLen }
 // predicted-vs-measured comparison price 8-byte elements.
 const BytesPerElem = 8
 
+// Bytes is the size of elems float64 elements, truncated to whole bytes.
+func Bytes(elems float64) int64 { return int64(BytesPerElem * elems) }
+
 // Grid is one processor layout. Ranks is the total processor count; Q and D
 // describe the mesh for the 2-D/2.5-D families ([q, q] when D == 1 from an
 // Optimus descriptor, [q, q, d] for Tesseract) and are zero for the 1-D

@@ -1,47 +1,30 @@
-// Package seqpar implements sequence parallelism (Korthikanti et al.,
+// Package seqpar registers sequence parallelism (Korthikanti et al.,
 // "Reducing Activation Recomputation in Large Transformer Models"; the
 // natural fourth member of the paper's family zoo): a 1-D layout [p] that
 // shards *activations* along the sequence/row dimension instead of
-// replicating them. Layer norms, residual adds and element-wise ops run on
-// the local R/p-row shard; each parallel linear pair is bracketed by an
-// all-gather (restore the full rows its GEMM needs) on the way in and a
-// reduce-scatter (sum the partial products and keep only the local rows) on
-// the way out. The combined volume of one all-gather plus one
-// reduce-scatter equals one all-reduce, so the family moves the same bytes
-// as Megatron-LM per layer while holding 1/p of its activations — the
+// replicating them. It is Megatron-LM's weight sharding with different
+// activation brackets, so — as optimus is tesseract at d = 1 — the family
+// embeds internal/megatron's and its blocks are megatron's layers in the
+// sequence-parallel style the family name selects: every parallel linear
+// pair all-gathers full rows on the way in and reduce-scatters the partial
+// product back to the local rows on the way out, moving the bytes of one
+// all-reduce while holding 1/p of Megatron's activations — the
 // memory/comm trade the planner exploits under tight memory budgets.
 //
-// Weight sharding is identical to Megatron-LM (column-parallel QKV and fc1,
-// row-parallel projection and fc2), so checkpoints re-shard freely between
-// the two. The memory lever is in the activation lifetime regime: gathered
-// full-row tensors are transient — discarded right after their GEMM and
-// re-gathered in the backward pass — and the backward pass recycles saved
-// activations eagerly the moment their last gradient GEMM has read them.
+// This package adds only what differs at the family level: Distribute,
+// Collect, Slice and GatherPooled over row shards, the shard-local patch
+// embedding whose replicated-weight gradient all-reduces drain in
+// DrainGradients, and the planner's grid rule, per-layer schedule and
+// memory formula. Checkpoints re-shard freely between the two families.
 package seqpar
 
 import (
-	"fmt"
-
 	"repro/internal/compute"
 	"repro/internal/dist"
 	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
-
-// Proc is one processor's view of a sequence-parallel group.
-type Proc struct {
-	W *dist.Worker
-	// P is the sequence-parallel size.
-	P int
-	// Rank is the index within the group.
-	Rank int
-	// TP is the sequence-parallel communicator.
-	TP *dist.Group
-
-	// pending are the replicated-weight gradient all-reduces the patch
-	// embedding queues per backward pass, drained by DrainGradients.
-	pending []gradSync
-}
 
 // gradSync is one in-flight replicated-parameter gradient all-reduce: the
 // handle, the parameter it lands on, and the pooled buffer carrying the sum.
@@ -51,136 +34,60 @@ type gradSync struct {
 	buf   *tensor.Matrix
 }
 
-// NewProcAt attaches the calling worker to the sequence-parallel group
-// spanning cluster ranks [base, base+p).
-func NewProcAt(w *dist.Worker, p, base int) *Proc {
-	ranks := make([]int, p)
-	for i := range ranks {
-		ranks[i] = base + i
-	}
-	g := w.Cluster().Group(ranks...)
-	idx := g.Index(w.Rank())
-	if idx < 0 {
-		panic(fmt.Sprintf("seqpar: rank %d outside sequence-parallel group [%d,%d)", w.Rank(), base, base+p))
-	}
-	return &Proc{W: w, P: p, Rank: idx, TP: g}
-}
-
-// gather all-gathers a row-sharded activation into a pooled full-row
-// buffer: member blocks concatenate in group order, which is exactly the
-// global row order Distribute sliced by. The caller owns the result and
-// Puts it as soon as its GEMM has run.
-func (p *Proc) gather(x *tensor.Matrix) *tensor.Matrix {
-	full := p.W.Workspace().GetUninitMatch(p.P*x.Rows, x.Cols, x.Phantom())
-	return p.TP.AllGatherInto(p.W, x, full)
-}
-
-// drain completes the queued replicated-weight gradient syncs.
-func (p *Proc) drain() {
-	ws := p.W.Workspace()
-	for i := range p.pending {
-		s := &p.pending[i]
-		s.h.Wait()
-		s.param.AccumGrad(s.buf)
-		ws.Put(s.buf)
-		*s = gradSync{}
-	}
-	p.pending = p.pending[:0]
-}
-
 // shardLinear is the family's fully connected layer (the ViT patch
-// embedding): the weight is replicated — the input rows are already
-// sharded, so the GEMM is local with no communication at all — and the
-// backward pass queues a nonblocking all-reduce per gradient so the
-// replicated parameters see the sum over every rank's row shard, bitwise
-// identical on all ranks. The handles drain in DrainGradients, hiding the
-// sync behind the rest of the backward pass.
+// embedding): a parallel.ReplicatedLinear whose input rows are sharded, so
+// the GEMM is local with no communication at all, and whose gradients are
+// therefore partial sums. The backward pass queues a nonblocking
+// all-reduce per gradient so the replicated parameters see the sum over
+// every rank's row shard, bitwise identical on all ranks. The handles
+// drain in DrainGradients, hiding the sync behind the rest of the backward
+// pass.
 type shardLinear struct {
-	In, Out int
-	Act     nn.Activation
-	W       *nn.Param // [In, Out], replicated
-	B       *nn.Param // [1, Out], replicated
+	*parallel.ReplicatedLinear
 
-	p   *Proc
+	f   *Family
 	x   *tensor.Matrix
 	pre *tensor.Matrix
-}
-
-// newShardLinear draws the full Xavier weight from rng (the serial stream)
-// and replicates it, like nn.NewLinear with a deferred gradient sum.
-func newShardLinear(p *Proc, in, out int, act nn.Activation, bias bool, rng *tensor.RNG) *shardLinear {
-	l := &shardLinear{In: in, Out: out, Act: act, p: p}
-	l.W = nn.NewParam("seqpar.linear.w", tensor.XavierMatrix(in, out, rng))
-	if bias {
-		l.B = nn.NewParam("seqpar.linear.b", tensor.New(1, out))
-	}
-	return l
 }
 
 // Forward runs the local GEMM on the rank's row shard, bias and GELU fused
 // into the write-back.
 func (l *shardLinear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
-	w := l.p.W
-	ws := w.Workspace()
-	ph := x.Phantom() || l.W.Value.Phantom()
-	pre := ws.GetUninitMatch(x.Rows, l.Out, ph)
-	pre.Zero()
-	l.pre = pre
 	var bias *tensor.Matrix
 	if l.B != nil {
 		bias = l.B.Value
 	}
-	if l.Act == nn.ActGELU {
-		act := ws.GetUninitMatch(x.Rows, l.Out, ph)
-		compute.MatMulBiasGELUInto(w, act, pre, x, l.W.Value, bias)
-		return act
-	}
-	if bias != nil {
-		compute.MatMulBiasInto(w, pre, x, l.W.Value, bias)
-	} else {
-		compute.MatMulInto(w, pre, x, l.W.Value)
-	}
-	return pre
+	var out *tensor.Matrix
+	out, l.pre = compute.LinearForward(l.f.W, x, l.W.Value, bias, l.Act == nn.ActGELU)
+	return out
 }
 
 // Backward computes the shard-local gradient partials, queues their
 // all-reduce for DrainGradients, and returns the sharded input gradient.
 func (l *shardLinear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	w := l.p.W
-	ws := w.Workspace()
+	f := l.f
+	ws := f.W.Workspace()
 	ph := dy.Phantom() || l.W.Value.Phantom()
 	var dyScratch *tensor.Matrix
 	if l.Act == nn.ActGELU {
 		g := ws.GetUninitMatch(dy.Rows, dy.Cols, dy.Phantom() || l.pre.Phantom())
-		compute.GELUGradHadamardTo(w, g, l.pre, dy)
+		compute.GELUGradHadamardTo(f.W, g, l.pre, dy)
 		dy, dyScratch = g, g
 	}
 	dw := ws.GetUninitMatch(l.In, l.Out, ph)
 	dw.Zero()
-	compute.MatMulTNInto(w, dw, l.x, dy)
-	l.p.pending = append(l.p.pending, gradSync{
-		h: l.p.TP.IAllReduceInto(w, dw, dw), param: l.W, buf: dw,
-	})
+	compute.MatMulTNInto(f.W, dw, l.x, dy)
+	f.pending = append(f.pending, gradSync{h: f.TP.IAllReduceInto(f.W, dw, dw), param: l.W, buf: dw})
 	if l.B != nil {
 		db := ws.GetUninitMatch(1, l.Out, ph)
-		compute.ColSumsInto(w, db, dy)
-		l.p.pending = append(l.p.pending, gradSync{
-			h: l.p.TP.IAllReduceInto(w, db, db), param: l.B, buf: db,
-		})
+		compute.ColSumsInto(f.W, db, dy)
+		f.pending = append(f.pending, gradSync{h: f.TP.IAllReduceInto(f.W, db, db), param: l.B, buf: db})
 	}
 	dx := ws.GetUninitMatch(dy.Rows, l.In, ph)
-	compute.MatMulNTInto(w, dx, dy, l.W.Value)
+	compute.MatMulNTInto(f.W, dx, dy, l.W.Value)
 	if dyScratch != nil {
 		ws.Put(dyScratch)
 	}
 	return dx
-}
-
-// Params returns the replicated parameters.
-func (l *shardLinear) Params() []*nn.Param {
-	if l.B == nil {
-		return []*nn.Param{l.W}
-	}
-	return []*nn.Param{l.W, l.B}
 }

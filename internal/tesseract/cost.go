@@ -78,8 +78,6 @@ func links(g plan.Grid, t plan.Topology) meshLinks {
 	return l
 }
 
-func bytesOf(elems float64) int64 { return int64(plan.BytesPerElem * elems) }
-
 // layerDims are the per-rank block dimensions of one Transformer layer on a
 // [q, q, d] mesh.
 type layerDims struct {
@@ -137,8 +135,8 @@ func (c *summaCoster) mulAB(rows, kl, nl float64) {
 		c.flops(2 * rows * nl * kl)
 		return
 	}
-	rowB := c.m.BroadcastSeconds(c.q, bytesOf(rows*kl), c.l.row)
-	colB := c.m.BroadcastSeconds(c.q, bytesOf(kl*nl), c.l.col)
+	rowB := c.m.BroadcastSeconds(c.q, plan.Bytes(rows*kl), c.l.row)
+	colB := c.m.BroadcastSeconds(c.q, plan.Bytes(kl*nl), c.l.col)
 	c.pipeline(math.Max(rowB, colB), 0, c.m.GEMMSeconds(rows, nl, kl))
 }
 
@@ -149,8 +147,8 @@ func (c *summaCoster) mulABT(rows, rl, cl float64) {
 		c.flops(2 * rows * rl * cl)
 		return
 	}
-	colB := c.m.BroadcastSeconds(c.q, bytesOf(rl*cl), c.l.col)
-	rowR := c.m.ReduceSeconds(c.q, bytesOf(rows*rl), c.l.row)
+	colB := c.m.BroadcastSeconds(c.q, plan.Bytes(rl*cl), c.l.col)
+	rowR := c.m.ReduceSeconds(c.q, plan.Bytes(rows*rl), c.l.row)
 	c.pipeline(colB, rowR, c.m.GEMMSeconds(rows, rl, cl))
 }
 
@@ -162,27 +160,27 @@ func (c *summaCoster) mulATB(rows, kl, nl float64) {
 		c.flops(2 * kl * nl * rows)
 		return
 	}
-	rowB := c.m.BroadcastSeconds(c.q, bytesOf(rows*kl), c.l.row)
-	colR := c.m.ReduceSeconds(c.q, bytesOf(kl*nl), c.l.col)
+	rowB := c.m.BroadcastSeconds(c.q, plan.Bytes(rows*kl), c.l.row)
+	colR := c.m.ReduceSeconds(c.q, plan.Bytes(kl*nl), c.l.col)
 	c.pipeline(rowB, colR, c.m.GEMMSeconds(kl, nl, rows))
 }
 
 // colBroadcast charges a blocking broadcast over the column group (the
 // bias distribution path).
 func (c *summaCoster) colBroadcast(elems float64) {
-	c.comm += c.m.BroadcastSeconds(c.q, bytesOf(elems), c.l.col)
+	c.comm += c.m.BroadcastSeconds(c.q, plan.Bytes(elems), c.l.col)
 }
 
 // colReduce charges a blocking reduce over the column group (the bias
 // gradient path).
 func (c *summaCoster) colReduce(elems float64) {
-	c.comm += c.m.ReduceSeconds(c.q, bytesOf(elems), c.l.col)
+	c.comm += c.m.ReduceSeconds(c.q, plan.Bytes(elems), c.l.col)
 }
 
 // rowAllReduce charges the layer norms' fused statistics all-reduce over
 // the row group.
 func (c *summaCoster) rowAllReduce(elems float64) {
-	c.comm += c.m.AllReduceSeconds(c.q, bytesOf(elems), c.l.row)
+	c.comm += c.m.AllReduceSeconds(c.q, plan.Bytes(elems), c.l.row)
 }
 
 // linearForward prices Linear.Forward on local blocks: one SUMMA AB pass,
@@ -259,7 +257,7 @@ func depthComm(m dist.CostModel, g plan.Grid, l meshLinks, d layerDims) float64 
 		d.hq * 4 * d.hq, 4 * d.hq, // fc1
 		4 * d.hq * d.hq, d.hq, // fc2
 	} {
-		t += m.AllReduceSeconds(g.D, bytesOf(shard), l.depth)
+		t += m.AllReduceSeconds(g.D, plan.Bytes(shard), l.depth)
 	}
 	return t
 }
@@ -312,5 +310,5 @@ func tesseractMemory(w plan.Workload, g plan.Grid) int64 {
 	acts := 19*d.mh*d.hq + probs + 2*d.mh
 	panels := 4*d.mh*4*d.hq + 2*4*d.hq*d.hq // double-buffered panels + partials at the widest multiply
 	io := 2 * d.mh * d.hq
-	return bytesOf(L*(2*weights+acts) + panels + io)
+	return plan.Bytes(L*(2*weights+acts) + panels + io)
 }

@@ -56,10 +56,6 @@ func (f *Family) Layout() parallel.Layout { return f.layout }
 // Worker returns the rank's cluster view.
 func (f *Family) Worker() *dist.Worker { return f.p.W }
 
-// Proc exposes the underlying mesh view for Tesseract-specific callers
-// (tests).
-func (f *Family) Proc() *Proc { return f.p }
-
 // RowShards returns d·q: activation rows split across the depth layers and
 // grid rows.
 func (f *Family) RowShards() int { return f.p.Shape.Q * f.p.Shape.D }
