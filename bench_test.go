@@ -79,7 +79,7 @@ func BenchmarkFigure7ViT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		serial := vit.TrainSerial(ds, mcfg, tc)
 		for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
-			h, err := vit.TrainTesseract(shape.q, shape.d, ds, mcfg, tc)
+			h, err := vit.TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func BenchmarkTesseractStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	if hidden, total := sb.Overlap(); total > 0 {
+	if hidden, total := sb.Cluster().Overlap(); total > 0 {
 		b.ReportMetric(hidden/total, "overlap-frac")
 	}
 }
@@ -189,26 +189,26 @@ func BenchmarkReshard(b *testing.B) {
 	}
 	// Simulated-clock accounting, measured once outside the timed loop: a
 	// plain-step window, then a collect+restore window.
-	sb.ResetClocks()
+	sb.Cluster().ResetClocks()
 	if err := sb.Steps(4); err != nil {
 		b.Fatal(err)
 	}
-	stepSec := sb.MaxClock() / 4
-	sb.ResetClocks()
+	stepSec := sb.Cluster().MaxClock() / 4
+	sb.Cluster().ResetClocks()
 	if err := sb.StepsCheckpointed(1, cks); err != nil {
 		b.Fatal(err)
 	}
-	if err := sb.Restore(cks[0]); err != nil {
+	if err := sb.Reshard(cks[0]); err != nil {
 		b.Fatal(err)
 	}
-	reshardSec := sb.MaxClock() - stepSec // the checkpointed window includes one step
+	reshardSec := sb.Cluster().MaxClock() - stepSec // the checkpointed window includes one step
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sb.StepsCheckpointed(1, cks); err != nil {
 			b.Fatal(err)
 		}
-		if err := sb.Restore(cks[0]); err != nil {
+		if err := sb.Reshard(cks[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func BenchmarkStraggler(b *testing.B) {
 	// be invisible in the step clock.
 	cost := dist.CostModel{FLOPS: 1e8, Alpha: 1e-7, BetaIntra: 1.0 / 250e9, BetaInter: 1.0 / 6.25e9}
 	algos := tables.DefaultAlgos()
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
+	w := mcfg.Workload(tc.BatchSize)
 	var budget int64
 	for _, a := range algos {
 		if a.Family == "megatron" {

@@ -27,15 +27,13 @@ import (
 	"os"
 
 	"repro/internal/dist"
-	// Importing the family packages registers them with the parallel
-	// runtime; their PlanAlgo descriptors feed -plan's search.
 	"repro/internal/megatron"
-	"repro/internal/optimus"
 	"repro/internal/parallel"
 	"repro/internal/plan"
-	"repro/internal/seqpar"
 	"repro/internal/serve"
-	"repro/internal/tesseract"
+	// tables links every family, registering them with the parallel
+	// runtime; its DefaultAlgos feed the -plan, -elastic and -chaos searches.
+	"repro/internal/tables"
 	"repro/internal/vit"
 )
 
@@ -114,64 +112,51 @@ func main() {
 		return
 	}
 
-	fmt.Println("setting,epoch,loss,train_acc,test_acc")
-	emit := func(h vit.History) {
-		for e := range h.Loss {
-			fmt.Printf("%s,%d,%.6f,%.4f,%.4f\n", h.Setting, e+1, h.Loss[e], h.TrainAcc[e], h.TestAcc[e])
-		}
-	}
-	trainLayout := func(l parallel.Layout) {
-		// Validate the layout against the model up front: an unknown family
-		// or an indivisible width is one actionable line on stderr, never a
-		// panic deep inside model construction.
-		nl, err := parallel.Validate(l)
-		if err == nil {
-			err = vit.TrainableErr(nl, tc.BatchSize, mcfg)
-		}
-		if err != nil {
-			fatalf("%v", err)
-		}
-		hist, err := vit.TrainLayout(nl, ds, mcfg, tc)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		emit(hist)
-	}
-
-	emit(vit.TrainSerial(ds, mcfg, tc))
+	var layouts []parallel.Layout
 	switch {
 	case *planFor > 0:
 		// Search → instantiate → train. The search's feasibility filter is
 		// per-token (the timing harness's unit), while the ViT trainer
 		// needs whole sequences per rank, so pick the best candidate whose
 		// layout this model can actually train on.
-		w := plan.Workload{Batch: *batch, SeqLen: mcfg.SeqLen, Hidden: *hidden, Heads: *heads, Layers: *layers}
-		algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
-		plans, err := plan.Search(w, plan.Topology{RankBudget: *planFor}, algos)
+		plans, err := plan.Search(mcfg.Workload(*batch), plan.Topology{RankBudget: *planFor}, tables.DefaultAlgos())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vit-train:", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		best, skipped := pickTrainable(plans, *batch, mcfg)
 		if skipped == len(plans) {
-			fmt.Fprintln(os.Stderr, "vit-train: no searched layout can train this model (batch/patch-dim divisibility)")
-			os.Exit(1)
+			fatalf("no searched layout can train this model (batch/patch-dim divisibility)")
 		}
 		if skipped > 0 {
 			fmt.Fprintf(os.Stderr, "vit-train: skipped %d higher-ranked candidates this model cannot train on\n", skipped)
 		}
 		fmt.Fprintf(os.Stderr, "vit-train: plan.Search picked %s (predicted %.3gs/step over %d candidates)\n",
 			best, best.Predicted.Step(), len(plans))
-		trainLayout(best.Layout())
+		layouts = append(layouts, best.Layout())
 	case *family != "":
 		l, err := layoutFromFlags(*family, *q, *d, *ranks, set)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		trainLayout(l)
+		layouts = append(layouts, l)
 	default:
-		for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
-			trainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d})
+		layouts = []parallel.Layout{{Family: "tesseract", Q: 2, D: 1}, {Family: "tesseract", Q: 2, D: 2}}
+	}
+	// Train every layout before printing anything: an unknown family, an
+	// indivisible width or batch, or a train split smaller than one batch
+	// is one actionable line on stderr, never a panic or a table of NaNs.
+	var hists []vit.History
+	for _, l := range layouts {
+		hist, err := vit.TrainLayout(l, ds, mcfg, tc)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		hists = append(hists, hist)
+	}
+	fmt.Println("setting,epoch,loss,train_acc,test_acc")
+	for _, h := range append([]vit.History{vit.TrainSerial(ds, mcfg, tc)}, hists...) {
+		for e := range h.Loss {
+			fmt.Printf("%s,%d,%.6f,%.4f,%.4f\n", h.Setting, e+1, h.Loss[e], h.TrainAcc[e], h.TestAcc[e])
 		}
 	}
 	fmt.Fprintln(os.Stderr, "vit-train: done — the claim holds iff the curves coincide with serial")
@@ -274,19 +259,16 @@ func runElastic(from parallel.Layout, failAt int, ds *vit.Dataset, mcfg vit.Mode
 	// The replanner may not collapse onto one survivor: the per-rank memory
 	// budget sits just below the whole model's single-rank footprint, the
 	// usual reason elasticity matters in the first place.
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
-	topo := plan.Topology{MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1}
+	topo := plan.Topology{MemoryBudget: megatron.PlanAlgo().Memory(mcfg.Workload(tc.BatchSize), plan.Grid{Ranks: 1}) - 1}
 	run, err := vit.TrainElastic(from, vit.ElasticConfig{
 		FailStep:   failAt,
 		TotalSteps: total,
 		FailRank:   -1,
-		Algos:      algos,
+		Algos:      tables.DefaultAlgos(),
 		Topology:   topo,
 	}, ds, mcfg, tc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vit-train:", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "vit-train: %v\n", run.Failure)
 	fmt.Fprintf(os.Stderr, "vit-train: replanned %s → %s over %d survivors\n", run.From, run.To, run.From.Ranks-1)
@@ -312,8 +294,7 @@ func runElastic(from parallel.Layout, failAt int, ds *vit.Dataset, mcfg vit.Mode
 func runChaos(from parallel.Layout, seed uint64, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig) {
 	from, err := from.Normalize()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vit-train:", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	spe := len(ds.Train) / tc.BatchSize
 	total := tc.Epochs * spe
@@ -328,23 +309,20 @@ func runChaos(from parallel.Layout, seed uint64, ds *vit.Dataset, mcfg vit.Model
 	// clock. A scaled-down machine keeps the demo compute-bound, as the
 	// paper's real workloads are (same model as tables.StragglerStudy).
 	cost := dist.CostModel{FLOPS: 1e8, Alpha: 1e-7, BetaIntra: 1.0 / 250e9, BetaInter: 1.0 / 6.25e9}
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
 	topo := plan.Topology{
 		Cost:         cost,
-		MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1,
+		MemoryBudget: megatron.PlanAlgo().Memory(mcfg.Workload(tc.BatchSize), plan.Grid{Ranks: 1}) - 1,
 	}
 	run, err := vit.TrainAdaptive(from, vit.AdaptiveConfig{
 		TotalSteps: total,
 		Probe:      probe,
 		Monitor:    dist.MonitorConfig{Window: probe, K: 1.5, W: 3},
 		Faults:     fp,
-		Algos:      algos,
+		Algos:      tables.DefaultAlgos(),
 		Topology:   topo,
 	}, ds, mcfg, tc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "vit-train:", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "vit-train: chaos seed %d over %d ranks: %d compute fault(s), %d link fault(s), %d stall(s)\n",
 		seed, from.Ranks, len(fp.Ranks), len(fp.Links), len(fp.Collectives))

@@ -1,12 +1,54 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"repro/internal/parallel"
 	"repro/internal/vit"
 )
+
+// TestMain runs the command itself when re-executed by a test with
+// VIT_TRAIN_MAIN set, so tests can check its exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("VIT_TRAIN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestTrainSplitSmallerThanBatch: a train split of 4 samples cannot fill a
+// batch of 8. Serving used to die with an integer divide by zero inside the
+// cluster, and the epoch trainer printed NaN rows and reported done; both
+// must exit 1 with one actionable line naming the sample count and batch.
+func TestTrainSplitSmallerThanBatch(t *testing.T) {
+	small := []string{"-classes", "2", "-train-per-class", "2", "-batch", "8"}
+	for _, mode := range [][]string{
+		{"-serve"},
+		{"-family", "megatron", "-ranks", "2", "-epochs", "1"},
+	} {
+		cmd := exec.Command(os.Args[0], append(mode, small...)...)
+		cmd.Env = append(os.Environ(), "VIT_TRAIN_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		var exit *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: want exit status 1, got %v\n%s", mode, exit, stderr.String())
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, "4 samples") || !strings.Contains(msg, "batch of 8") || strings.Contains(msg, "panic") {
+			t.Errorf("%v: stderr does not name the sample count and batch:\n%s", mode, msg)
+		}
+		if strings.Contains(stdout.String(), "NaN") {
+			t.Errorf("%v: printed NaN rows:\n%s", mode, stdout.String())
+		}
+	}
+}
 
 // TestLayoutFromFlags: the flag→layout mapping per family, and rejection of
 // explicitly set flags that do not apply — a silently dropped -d would train

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/parallel"
 	"repro/internal/vit"
 )
 
@@ -33,7 +34,7 @@ func main() {
 
 	histories := []vit.History{vit.TrainSerial(ds, mcfg, tc)}
 	for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
-		h, err := vit.TrainTesseract(shape.q, shape.d, ds, mcfg, tc)
+		h, err := vit.TrainLayout(parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d}, ds, mcfg, tc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/vit"
@@ -21,15 +20,10 @@ type Server struct {
 	l    parallel.Layout
 	ds   *vit.Dataset
 	mcfg vit.ModelConfig
-	tc   vit.TrainConfig
 
-	c      *dist.Cluster
-	fams   []parallel.Family
-	models []*vit.DistModel
-	opts   []*nn.Adam
+	reps *vit.Replicas
 
 	s, unit   int
-	steps     int              // training steps taken so far (step indices)
 	xbuf      []*tensor.Matrix // per-rank [maxPadded·s, patchDim] batch assembly buffer
 	views     [][]*tensor.Matrix
 	clk, clks []*tensor.Matrix // per-rank 1×1 clock block and [world,1] gather
@@ -39,8 +33,7 @@ type Server struct {
 // NewServer validates the layout against the model, builds the cluster and
 // the per-rank models (drawn from ModelConfig.Seed, so every rank and every
 // independently built reference shard the same weights), and preallocates
-// the serving buffers. tc configures TrainSteps; its batch size must divide
-// by the layout's row shards.
+// the serving buffers. tc configures TrainSteps.
 func NewServer(l parallel.Layout, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.TrainConfig, cfg Config) (*Server, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
@@ -53,35 +46,27 @@ func NewServer(l parallel.Layout, ds *vit.Dataset, mcfg vit.ModelConfig, tc vit.
 	if len(ds.Test) == 0 {
 		return nil, fmt.Errorf("serve: dataset has no test samples to serve")
 	}
-	unit := l.RowShards()
-	if err := vit.TrainableErr(l, unit, mcfg); err != nil {
+	world := l.Ranks
+	c := dist.New(dist.Config{WorldSize: world})
+	reps, err := vit.NewReplicas(c, l, ds, mcfg, tc)
+	if err != nil {
 		return nil, fmt.Errorf("serve: %s cannot run this model: %w", l, err)
 	}
-	world := l.Ranks
+	unit := l.RowShards()
 	s := &Server{
-		cfg: cfg, l: l, ds: ds, mcfg: mcfg, tc: tc,
-		c:      dist.New(dist.Config{WorldSize: world}),
-		fams:   make([]parallel.Family, world),
-		models: make([]*vit.DistModel, world),
-		opts:   make([]*nn.Adam, world),
-		s:      mcfg.SeqLen,
-		unit:   unit,
-		xbuf:   make([]*tensor.Matrix, world),
-		views:  make([][]*tensor.Matrix, world),
-		clk:    make([]*tensor.Matrix, world),
-		clks:   make([]*tensor.Matrix, world),
-		world:  make([]*dist.Group, world),
+		cfg: cfg, l: l, ds: ds, mcfg: mcfg,
+		reps:  reps,
+		s:     mcfg.SeqLen,
+		unit:  unit,
+		xbuf:  make([]*tensor.Matrix, world),
+		views: make([][]*tensor.Matrix, world),
+		clk:   make([]*tensor.Matrix, world),
+		clks:  make([]*tensor.Matrix, world),
+		world: make([]*dist.Group, world),
 	}
 	maxPadded := (cfg.MaxBatch + unit - 1) / unit * unit
-	err = s.c.Run(func(w *dist.Worker) error {
+	err = c.Run(func(w *dist.Worker) error {
 		r := w.Rank()
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		s.fams[r] = f
-		s.models[r] = vit.NewDistModel(f, mcfg)
-		s.opts[r] = nn.NewAdam(tc.LR, tc.WeightDecay)
 		s.xbuf[r] = tensor.New(maxPadded*s.s, mcfg.PatchDim)
 		for k := 1; k <= maxPadded/unit; k++ {
 			rows := k * unit * s.s
@@ -103,27 +88,13 @@ func (s *Server) Layout() parallel.Layout { return s.l }
 
 // TrainSteps advances the model n steps down the trainer's exact step path
 // (epoch-shuffled batches, step-indexed), so a served model is bitwise the
-// model an equally trained trainer holds.
+// model an equally trained trainer holds. A training configuration the
+// layout cannot step is an error that leaves the server serving.
 func (s *Server) TrainSteps(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if s.tc.BatchSize > 0 && s.tc.BatchSize%s.unit != 0 {
-		return fmt.Errorf("serve: train batch %d not divisible by %s's %d row shards", s.tc.BatchSize, s.l, s.unit)
-	}
-	start := s.steps
-	err := s.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		for step := start; step < start+n; step++ {
-			vit.TrainStep(w, s.fams[r], s.models[r], s.opts[r], s.ds, s.tc, s.s, step)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	s.steps += n
-	return nil
+	return s.reps.TrainSteps(n, nil, nil)
 }
 
 // syncClock agrees on the current instant across the cluster: every rank
@@ -165,10 +136,10 @@ func (s *Server) Serve(a ArrivalConfig) (*Report, error) {
 	// Fresh timing window: durations are differences of synced clocks, and
 	// starting every trace at t=0 keeps them bit-identical across repeated
 	// Serve calls (a large clock base would perturb the low-order bits).
-	s.c.ResetClocks()
-	err = s.c.Run(func(w *dist.Worker) error {
+	s.reps.Cluster().ResetClocks()
+	err = s.reps.Run(func(w *dist.Worker, rp *vit.Replica) error {
 		r := w.Rank()
-		f, model := s.fams[r], s.models[r]
+		f, model := rp.F, rp.Model
 		prev := s.syncClock(w)
 		tr := runTrace(s.cfg, arrivals, func(ids []int) (int, float64) {
 			padded := (len(ids) + s.unit - 1) / s.unit * s.unit

@@ -148,7 +148,7 @@ func TestInferenceMatchesTrainingForward(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", l, err)
 		}
-		if err := sb.TrainSteps(2); err != nil {
+		if err := sb.TrainSteps(2, nil, nil); err != nil {
 			t.Fatalf("%s: %v", l, err)
 		}
 		for _, batch := range [][]int{{0, 1, 2, 3}, {4, 5, 6}} {
@@ -181,5 +181,29 @@ func TestServerRejectsUntrainableLayout(t *testing.T) {
 	_, err = NewServer(parallel.Layout{Family: "nosuch", Ranks: 4}, ds, mcfg, tc, Config{})
 	if err == nil || !strings.Contains(err.Error(), "unknown family") {
 		t.Fatalf("want an unknown-family error, got %v", err)
+	}
+}
+
+// TestTrainStepsChecksDefaultBatch: with a zero BatchSize the trainer
+// steps at its default batch of 8, which tesseract [3,3,2]'s 6 row shards
+// do not divide. TrainSteps must say so as an error — it used to panic
+// inside the cluster and poison it — and the server must keep serving.
+func TestTrainStepsChecksDefaultBatch(t *testing.T) {
+	ds, mcfg, tc := fixture()
+	mcfg.Hidden, mcfg.Heads = 24, 6
+	tc.BatchSize = 0
+	srv, err := NewServer(parallel.Layout{Family: "tesseract", Q: 3, D: 2}, ds, mcfg, tc, Config{MaxBatch: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.TrainSteps(1); err == nil || !strings.Contains(err.Error(), "batch 8 not divisible") {
+		t.Fatalf("want a batch divisibility error, got %v", err)
+	}
+	rep, err := srv.Serve(Saturated(12))
+	if err != nil {
+		t.Fatalf("serving after the rejected training step: %v", err)
+	}
+	if rep.Completed != 12 {
+		t.Fatalf("served %d of 12 requests", rep.Completed)
 	}
 }

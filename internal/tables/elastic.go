@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/dist"
 	"repro/internal/megatron"
 	"repro/internal/parallel"
 	"repro/internal/plan"
@@ -46,8 +47,7 @@ func ElasticStudy() ([]ElasticPoint, error) {
 	// The per-rank memory budget sits just below the single-rank footprint —
 	// the usual elastic constraint: the model no longer fits on one survivor,
 	// so the replan must keep a genuinely distributed layout.
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	topo := plan.Topology{MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1}
+	topo := plan.Topology{MemoryBudget: megatron.PlanAlgo().Memory(mcfg.Workload(tc.BatchSize), plan.Grid{Ranks: 1}) - 1}
 	var out []ElasticPoint
 	for _, from := range DefaultFamilyLayouts() {
 		run, err := vit.TrainElastic(from, vit.ElasticConfig{
@@ -60,13 +60,13 @@ func ElasticStudy() ([]ElasticPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tables: elastic study %s: %w", from, err)
 		}
-		ref, err := vit.TrainLayoutSteps(run.To, ds, mcfg, tc, totalSteps)
+		ref, err := vit.TrainFaulty(run.To, nil, dist.CostModel{}, ds, mcfg, tc, totalSteps)
 		if err != nil {
 			return nil, fmt.Errorf("tables: elastic reference %s: %w", run.To, err)
 		}
 		var dev float64
 		for s := failStep; s < totalSteps; s++ {
-			dev = math.Max(dev, math.Abs(run.Losses[s]-ref[s]))
+			dev = math.Max(dev, math.Abs(run.Losses[s]-ref.Losses[s]))
 		}
 		out = append(out, ElasticPoint{
 			From:           run.From,

@@ -46,20 +46,8 @@ func OverlapStudy(rows []Row, opts Options) ([]OverlapPoint, error) {
 }
 
 func overlapRow(row Row, opts Options) (OverlapPoint, error) {
-	c := dist.New(dist.Config{
-		WorldSize:   row.GPUs,
-		GPUsPerNode: opts.GPUsPerNode,
-		Cost:        opts.Cost,
-	})
-	runners := make([]blockRunner, row.GPUs)
-	if err := c.Run(func(w *dist.Worker) error {
-		r, err := newRunner(row, opts, w)
-		if err != nil {
-			return err
-		}
-		runners[w.Rank()] = r
-		return nil
-	}); err != nil {
+	c, runners, err := newRunners(row, opts)
+	if err != nil {
 		return OverlapPoint{}, err
 	}
 	c.ResetClocks()

@@ -53,35 +53,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// blockRunner abstracts one rank's view of a Transformer layer stack so the
-// three schemes share the timing scaffold.
-type blockRunner interface {
-	forward()
-	backward()
-}
-
 // RunRow executes one table row on a fresh simulated cluster and returns the
 // measured columns. The forward pass and backward pass are timed separately
 // by resetting the simulated clocks in between, exactly mirroring the
 // paper's forward-time/backward-time split.
 func RunRow(row Row, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	c := dist.New(dist.Config{
-		WorldSize:   row.GPUs,
-		GPUsPerNode: opts.GPUsPerNode,
-		Cost:        opts.Cost,
-	})
-	runners := make([]blockRunner, row.GPUs)
-
 	// Phase 0 (untimed): construct the model and inputs.
-	err := c.Run(func(w *dist.Worker) error {
-		r, err := newRunner(row, opts, w)
-		if err != nil {
-			return err
-		}
-		runners[w.Rank()] = r
-		return nil
-	})
+	c, runners, err := newRunners(row, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -148,7 +127,24 @@ type familyRunner struct {
 	out    []*tensor.Matrix
 }
 
-func newRunner(row Row, opts Options, w *dist.Worker) (blockRunner, error) {
+// newRunners builds every rank's layer stack and inputs for a row on a
+// fresh cluster with the options' machine model.
+func newRunners(row Row, opts Options) (*dist.Cluster, []*familyRunner, error) {
+	c := dist.New(dist.Config{
+		WorldSize:   row.GPUs,
+		GPUsPerNode: opts.GPUsPerNode,
+		Cost:        opts.Cost,
+	})
+	runners := make([]*familyRunner, row.GPUs)
+	err := c.Run(func(w *dist.Worker) error {
+		r, err := newRunner(row, opts, w)
+		runners[w.Rank()] = r
+		return err
+	})
+	return c, runners, err
+}
+
+func newRunner(row Row, opts Options, w *dist.Worker) (*familyRunner, error) {
 	l, err := LayoutForRow(row)
 	if err != nil {
 		return nil, err

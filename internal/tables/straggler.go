@@ -70,11 +70,10 @@ var StragglerFactors = []float64{2, 4, 8}
 func StragglerStudy() ([]StragglerPoint, error) {
 	ds, mcfg, tc := elasticFixture()
 	const totalSteps, probe = 24, 6
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
 	topo := plan.Topology{
 		Cost: stragglerCost(),
 		// As in the elastic study: the model must stay distributed.
-		MemoryBudget: megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1}) - 1,
+		MemoryBudget: megatron.PlanAlgo().Memory(mcfg.Workload(tc.BatchSize), plan.Grid{Ranks: 1}) - 1,
 	}
 	var out []StragglerPoint
 	for _, from := range DefaultFamilyLayouts() {
@@ -137,20 +136,20 @@ func stragglerLossDev(run *vit.AdaptiveRun, ds *vit.Dataset, mcfg vit.ModelConfi
 		cut = total
 	}
 	var dev float64
-	refFrom, err := vit.TrainLayoutSteps(run.From, ds, mcfg, tc, cut)
+	refFrom, err := vit.TrainFaulty(run.From, nil, dist.CostModel{}, ds, mcfg, tc, cut)
 	if err != nil {
 		return 0, fmt.Errorf("tables: straggler reference %s: %w", run.From, err)
 	}
 	for s := 0; s < cut; s++ {
-		dev = math.Max(dev, math.Abs(run.Losses[s]-refFrom[s]))
+		dev = math.Max(dev, math.Abs(run.Losses[s]-refFrom.Losses[s]))
 	}
 	if cut < total {
-		refTo, err := vit.TrainLayoutSteps(run.To, ds, mcfg, tc, total)
+		refTo, err := vit.TrainFaulty(run.To, nil, dist.CostModel{}, ds, mcfg, tc, total)
 		if err != nil {
 			return 0, fmt.Errorf("tables: straggler reference %s: %w", run.To, err)
 		}
 		for s := cut; s < total; s++ {
-			dev = math.Max(dev, math.Abs(run.Losses[s]-refTo[s]))
+			dev = math.Max(dev, math.Abs(run.Losses[s]-refTo.Losses[s]))
 		}
 	}
 	return dev, nil

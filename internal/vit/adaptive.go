@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 )
@@ -24,37 +23,22 @@ type FaultyRun struct {
 // cluster with the given fault plan installed, riding out whatever the plan
 // does. It is both the ride-it-out baseline the StragglerStudy prices
 // TrainAdaptive against and — with a nil or empty plan — the unperturbed
-// reference the zero-perturbation identity tests compare clocks and stats
-// to bit-for-bit.
+// reference: the zero-perturbation identity tests compare clocks and stats
+// to it bit-for-bit, and elastic and adaptive runs compare their losses to
+// its uninterrupted curve.
 func TrainFaulty(l parallel.Layout, faults *dist.FaultPlan, cost dist.CostModel,
 	ds *Dataset, mcfg ModelConfig, tc TrainConfig, total int) (*FaultyRun, error) {
-	tc = tc.withDefaults()
 	l, err := parallel.Validate(l)
 	if err != nil {
 		return nil, err
 	}
-	if tc.BatchSize%l.RowShards() != 0 {
-		return nil, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, l, l.RowShards())
-	}
 	c := dist.New(dist.Config{WorldSize: l.Ranks, Cost: cost, Faults: faults})
-	run := &FaultyRun{Losses: make([]float64, total)}
-	s := mcfg.SeqLen
-	err = c.Run(func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		model := NewDistModel(f, mcfg)
-		opt := nn.NewAdam(tc.LR, tc.WeightDecay)
-		for step := 0; step < total; step++ {
-			loss := trainStep(w, f, model, opt, ds, tc, s, step)
-			if w.Rank() == 0 {
-				run.Losses[step] = loss
-			}
-		}
-		return nil
-	})
+	reps, err := NewReplicas(c, l, ds, mcfg, tc)
 	if err != nil {
+		return nil, err
+	}
+	run := &FaultyRun{Losses: make([]float64, total)}
+	if err := reps.TrainSteps(total, run.Losses, nil); err != nil {
 		return nil, err
 	}
 	run.Seconds = c.MaxClock()
@@ -171,9 +155,6 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 	if cfg.TotalSteps < 1 {
 		return nil, fmt.Errorf("vit: adaptive needs TotalSteps ≥ 1, got %d", cfg.TotalSteps)
 	}
-	if tc.BatchSize%from.RowShards() != 0 {
-		return nil, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, from, from.RowShards())
-	}
 	if len(cfg.Algos) == 0 {
 		return nil, fmt.Errorf("vit: adaptive replan needs planner algos")
 	}
@@ -188,46 +169,17 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		Losses:       make([]float64, cfg.TotalSteps),
 		DetectedStep: -1, RelayoutStep: -1,
 	}
-	s := mcfg.SeqLen
-	wl := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
+	wl := mcfg.Workload(tc.BatchSize)
 
-	newCluster := func(world int, faults *dist.FaultPlan) *dist.Cluster {
-		return dist.New(dist.Config{
-			WorldSize:   world,
-			GPUsPerNode: cfg.Topology.GPUsPerNode,
-			Cost:        cfg.Topology.Cost,
-			Faults:      faults,
-		})
-	}
-	buildFamilies := func(c *dist.Cluster, l parallel.Layout) ([]parallel.Family, []*DistModel, []*nn.Adam, error) {
-		fams := make([]parallel.Family, l.Ranks)
-		models := make([]*DistModel, l.Ranks)
-		opts := make([]*nn.Adam, l.Ranks)
-		err := c.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= l.Ranks {
-				return nil // healthy but idle: the plan uses fewer ranks
-			}
-			f, err := parallel.New(w, l)
-			if err != nil {
-				return err
-			}
-			fams[r] = f
-			models[r] = NewDistModel(f, mcfg)
-			opts[r] = nn.NewAdam(tc.LR, tc.WeightDecay)
-			return nil
-		})
-		return fams, models, opts, err
-	}
-
-	cur := from
-	c := newCluster(from.Ranks, cfg.Faults)
+	cc := dist.Config{WorldSize: from.Ranks, GPUsPerNode: cfg.Topology.GPUsPerNode, Cost: cfg.Topology.Cost, Faults: cfg.Faults}
+	c := dist.New(cc)
 	mon := c.AttachMonitor(cfg.Monitor)
 	probe := cfg.Probe
 	if probe <= 0 {
 		probe = mon.Config().Window
 	}
-	fams, models, opts, err := buildFamilies(c, cur)
+	cur := from
+	reps, err := NewReplicas(c, cur, ds, mcfg, tc)
 	if err != nil {
 		return nil, err
 	}
@@ -238,21 +190,7 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		if step+n > cfg.TotalSteps {
 			n = cfg.TotalSteps - step
 		}
-		base := step
-		err := c.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= cur.Ranks {
-				return nil
-			}
-			for i := 0; i < n; i++ {
-				loss := trainStep(w, fams[r], models[r], opts[r], ds, tc, s, base+i)
-				if r == 0 {
-					run.Losses[base+i] = loss
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if err := reps.TrainSteps(n, run.Losses[step:], nil); err != nil {
 			return nil, err
 		}
 		step += n
@@ -354,37 +292,22 @@ func TrainAdaptive(from parallel.Layout, cfg AdaptiveConfig, ds *Dataset, mcfg M
 		// over the healthy ranks, re-shard, resume. Every phase is charged
 		// to the clock that TotalSeconds accumulates.
 		pre := c.MaxClock()
-		cks := make([]*parallel.Checkpoint, cur.Ranks)
-		err = c.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= cur.Ranks {
-				return nil
-			}
-			ck, err := parallel.Collect(fams[r], models[r], opts[r])
-			cks[r] = ck
-			return err
-		})
+		cks, err := reps.Collect()
 		if err != nil {
 			return nil, err
 		}
 		run.CollectSeconds = c.MaxClock() - pre
 		run.TotalSeconds += c.MaxClock()
 
-		c2 := newCluster(len(healthy), cfg.Faults.Remap(healthy))
+		cc.WorldSize, cc.Faults = len(healthy), cfg.Faults.Remap(healthy)
+		c2 := dist.New(cc)
 		mon = c2.AttachMonitor(cfg.Monitor)
-		fams, models, opts, err = buildFamilies(c2, to)
+		reps, err = NewReplicas(c2, to, ds, mcfg, tc)
 		if err != nil {
 			return nil, err
 		}
 		pre = c2.MaxClock()
-		err = c2.Run(func(w *dist.Worker) error {
-			r := w.Rank()
-			if r >= to.Ranks {
-				return nil
-			}
-			return parallel.Reshard(fams[r], models[r], opts[r], cks[0])
-		})
-		if err != nil {
+		if err := reps.Reshard(cks[0]); err != nil {
 			return nil, err
 		}
 		run.RestoreSeconds = c2.MaxClock() - pre

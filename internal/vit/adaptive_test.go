@@ -153,22 +153,22 @@ func TestTrainAdaptiveRelayout(t *testing.T) {
 	// Loss curve: before the re-layout it must match an uninterrupted run
 	// at From exactly (same layout, same arithmetic — the fault plan may
 	// only move clocks); after it, the usual cross-layout 1e-8.
-	refFrom, err := TrainLayoutSteps(from, ds, mcfg, tc, run.RelayoutStep)
+	refFrom, err := TrainFaulty(from, nil, dist.CostModel{}, ds, mcfg, tc, run.RelayoutStep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < run.RelayoutStep; i++ {
-		if run.Losses[i] != refFrom[i] {
-			t.Errorf("step %d (pre-relayout): loss %.17g != uninterrupted %.17g", i, run.Losses[i], refFrom[i])
+		if run.Losses[i] != refFrom.Losses[i] {
+			t.Errorf("step %d (pre-relayout): loss %.17g != uninterrupted %.17g", i, run.Losses[i], refFrom.Losses[i])
 		}
 	}
-	refTo, err := TrainLayoutSteps(run.To, ds, mcfg, tc, total)
+	refTo, err := TrainFaulty(run.To, nil, dist.CostModel{}, ds, mcfg, tc, total)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := run.RelayoutStep; i < total; i++ {
-		if d := math.Abs(run.Losses[i] - refTo[i]); d > 1e-8 {
-			t.Errorf("step %d (post-relayout): loss %.12f vs uninterrupted %.12f (|Δ|=%.3g)", i, run.Losses[i], refTo[i], d)
+		if d := math.Abs(run.Losses[i] - refTo.Losses[i]); d > 1e-8 {
+			t.Errorf("step %d (post-relayout): loss %.12f vs uninterrupted %.12f (|Δ|=%.3g)", i, run.Losses[i], refTo.Losses[i], d)
 		}
 	}
 
@@ -216,11 +216,11 @@ func TestTrainAdaptiveRideOutOnPayback(t *testing.T) {
 	if !strings.Contains(run.RideOutReason, "re-shard") {
 		t.Errorf("ride-out reason %q does not name the payback policy", run.RideOutReason)
 	}
-	ref, err := TrainLayoutSteps(from, ds, mcfg, tc, total)
+	ref, err := TrainFaulty(from, nil, dist.CostModel{}, ds, mcfg, tc, total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(run.Losses, ref) {
+	if !reflect.DeepEqual(run.Losses, ref.Losses) {
 		t.Errorf("ride-out losses differ from the clean run")
 	}
 }

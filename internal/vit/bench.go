@@ -1,10 +1,7 @@
 package vit
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
@@ -12,61 +9,35 @@ import (
 // StepBencher drives repeated training steps of the distributed ViT on one
 // persistent cluster under any registered family, so benchmarks and leak
 // tests can separate model construction and warm-up from the steady-state
-// step they measure. The same fixed batch is used for every step.
+// step they measure. Steps and StepsCheckpointed reuse one fixed batch;
+// the embedded replica set's TrainSteps walks the trainer path.
 type StepBencher struct {
-	c      *dist.Cluster
-	fams   []parallel.Family
-	models []*DistModel
-	opts   []*nn.Adam
+	*Replicas
 
 	x      *tensor.Matrix
 	labels []int
-	s      int
-
-	ds    *Dataset
-	tc    TrainConfig
-	steps int // trainer-path steps taken so far (TrainSteps indices)
 }
 
 // NewStepBencher builds the cluster, the per-rank models and optimisers, and
 // runs warmup steps so pools, caches and optimiser state reach steady state.
 func NewStepBencher(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainConfig, warmup int) (*StepBencher, error) {
-	tc = tc.withDefaults()
 	l, err := parallel.Validate(l)
 	if err != nil {
 		return nil, err
 	}
-	if tc.BatchSize%l.RowShards() != 0 {
-		return nil, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, l, l.RowShards())
+	reps, err := NewReplicas(dist.New(dist.Config{WorldSize: l.Ranks}), l, ds, mcfg, tc)
+	if err != nil {
+		return nil, err
 	}
-	world := l.Ranks
-	sb := &StepBencher{
-		c:      dist.New(dist.Config{WorldSize: world}),
-		fams:   make([]parallel.Family, world),
-		models: make([]*DistModel, world),
-		opts:   make([]*nn.Adam, world),
-		s:      mcfg.SeqLen,
-		ds:     ds,
-		tc:     tc,
+	if reps.trainErr != nil {
+		return nil, reps.trainErr
 	}
-	idx := make([]int, tc.BatchSize)
+	sb := &StepBencher{Replicas: reps}
+	idx := make([]int, reps.tc.BatchSize)
 	for i := range idx {
 		idx[i] = i % len(ds.Train)
 	}
 	sb.x, sb.labels = ds.Batch(ds.Train, idx)
-	err = sb.c.Run(func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		sb.fams[w.Rank()] = f
-		sb.models[w.Rank()] = NewDistModel(f, mcfg)
-		sb.opts[w.Rank()] = nn.NewAdam(tc.LR, tc.WeightDecay)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	if warmup > 0 {
 		if err := sb.Steps(warmup); err != nil {
 			return nil, err
@@ -75,51 +46,9 @@ func NewStepBencher(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainCo
 	return sb, nil
 }
 
-// Cluster exposes the persistent cluster for clock, stats and per-rank
-// workspace inspection between step batches.
-func (sb *StepBencher) Cluster() *dist.Cluster { return sb.c }
-
 // Steps runs n full training steps (forward, loss, backward, optimiser
 // update, workspace release) on every rank within a single cluster run.
-func (sb *StepBencher) Steps(n int) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		f := sb.fams[w.Rank()]
-		model := sb.models[w.Rank()]
-		opt := sb.opts[w.Rank()]
-		params := model.Params()
-		for i := 0; i < n; i++ {
-			logits := model.Forward(DistributeBatch(f, sb.x, sb.s))
-			dl := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
-			nn.CrossEntropyInto(dl, logits, sb.labels)
-			for _, pa := range params {
-				pa.ZeroGrad()
-			}
-			model.Backward(dl)
-			opt.Step(params)
-			f.EndStep()
-		}
-		return nil
-	})
-}
-
-// TrainSteps advances every rank n steps down the trainer's exact step path
-// (epoch-shuffled batches, flat step indices continuing across calls) — the
-// reference the serving runtime's TrainSteps is compared against bitwise.
-func (sb *StepBencher) TrainSteps(n int) error {
-	start := sb.steps
-	err := sb.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		for step := start; step < start+n; step++ {
-			trainStep(w, sb.fams[r], sb.models[r], sb.opts[r], sb.ds, sb.tc, sb.s, step)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sb.steps += n
-	return nil
-}
+func (sb *StepBencher) Steps(n int) error { return sb.StepsCheckpointed(n, nil) }
 
 // EvalLogits runs the trainer's eval forward (evalDist's padded per-batch
 // body) over the given test rows and returns a copy of the replicated
@@ -127,14 +56,13 @@ func (sb *StepBencher) TrainSteps(n int) error {
 // as, bit for bit.
 func (sb *StepBencher) EvalLogits(idx []int) (*tensor.Matrix, error) {
 	var out *tensor.Matrix
-	err := sb.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		logits := evalForward(sb.fams[r], sb.models[r], sb.ds, idx, sb.s)
-		if r == 0 {
+	err := sb.Run(func(w *dist.Worker, rp *Replica) error {
+		logits := evalForward(rp.F, rp.Model, sb.ds, idx, sb.s)
+		if w.Rank() == 0 {
 			out = tensor.New(len(idx), logits.Cols)
 			tensor.SubMatrixInto(out, logits, 0, 0)
 		}
-		sb.fams[r].EndStep()
+		rp.F.EndStep()
 		return nil
 	})
 	if err != nil {
@@ -143,28 +71,19 @@ func (sb *StepBencher) EvalLogits(idx []int) (*tensor.Matrix, error) {
 	return out, nil
 }
 
-// StepsCheckpointed runs n training steps with a checkpoint collected after
-// every one — the elastic steady state the allocation tests and
-// BenchmarkReshard measure. cks must have one (possibly nil) slot per rank;
-// the checkpoints are built on first use and reused (and returned) so the
-// steady state allocates nothing.
+// StepsCheckpointed runs n training steps with, unless cks is nil, a
+// checkpoint collected after every one — the elastic steady state the
+// allocation tests and BenchmarkReshard measure. cks must have one
+// (possibly nil) slot per rank; the checkpoints are built on first use and
+// reused (and returned) so the steady state allocates nothing.
 func (sb *StepBencher) StepsCheckpointed(n int, cks []*parallel.Checkpoint) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		f := sb.fams[w.Rank()]
-		model := sb.models[w.Rank()]
-		opt := sb.opts[w.Rank()]
-		params := model.Params()
+	return sb.Run(func(w *dist.Worker, rp *Replica) error {
 		for i := 0; i < n; i++ {
-			logits := model.Forward(DistributeBatch(f, sb.x, sb.s))
-			dl := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
-			nn.CrossEntropyInto(dl, logits, sb.labels)
-			for _, pa := range params {
-				pa.ZeroGrad()
+			rp.step(w, sb.x, sb.labels, sb.s, nil)
+			if cks == nil {
+				continue
 			}
-			model.Backward(dl)
-			opt.Step(params)
-			f.EndStep()
-			ck, err := parallel.CollectInto(cks[w.Rank()], f, model, opt)
+			ck, err := parallel.CollectInto(cks[w.Rank()], rp.F, rp.Model, rp.opt)
 			if err != nil {
 				return err
 			}
@@ -174,28 +93,11 @@ func (sb *StepBencher) StepsCheckpointed(n int, cks []*parallel.Checkpoint) erro
 	})
 }
 
-// Restore re-shards a checkpoint onto every rank's model and optimiser —
-// the same-layout restore path, used to measure re-shard cost against step
-// cost on one persistent cluster.
-func (sb *StepBencher) Restore(ck *parallel.Checkpoint) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		return parallel.Restore(sb.fams[w.Rank()], sb.models[w.Rank()], sb.opts[w.Rank()], ck)
-	})
-}
-
-// MaxClock exposes the cluster's largest simulated clock, and ResetClocks
-// starts a fresh timing window — the pair benchmarks use to attribute
-// simulated seconds to step, collect and restore phases separately.
-func (sb *StepBencher) MaxClock() float64 { return sb.c.MaxClock() }
-
-// ResetClocks zeroes the simulated clocks between phases.
-func (sb *StepBencher) ResetClocks() { sb.c.ResetClocks() }
-
 // SetPooling toggles workspace recycling on every rank — the switch the
 // bitwise property tests use to compare the pooled path against the plain
 // allocating path on identical models.
 func (sb *StepBencher) SetPooling(enabled bool) error {
-	return sb.c.Run(func(w *dist.Worker) error {
+	return sb.Cluster().Run(func(w *dist.Worker) error {
 		w.Workspace().SetPooling(enabled)
 		return nil
 	})
@@ -203,18 +105,10 @@ func (sb *StepBencher) SetPooling(enabled bool) error {
 
 // WorkspaceStats snapshots every rank's pool counters, indexed by rank.
 func (sb *StepBencher) WorkspaceStats() ([]tensor.WorkspaceStats, error) {
-	out := make([]tensor.WorkspaceStats, len(sb.models))
-	err := sb.c.Run(func(w *dist.Worker) error {
+	out := make([]tensor.WorkspaceStats, sb.Cluster().WorldSize())
+	err := sb.Cluster().Run(func(w *dist.Worker) error {
 		out[w.Rank()] = w.Workspace().Stats()
 		return nil
 	})
 	return out, err
 }
-
-// Model returns rank r's model, letting tests inspect parameter values.
-func (sb *StepBencher) Model(r int) *DistModel { return sb.models[r] }
-
-// Overlap reports the cluster's hidden and total simulated communication
-// seconds accumulated over the steps run so far — the overlap-frac metric
-// the step benchmark publishes (hidden/total).
-func (sb *StepBencher) Overlap() (hidden, total float64) { return sb.c.Overlap() }

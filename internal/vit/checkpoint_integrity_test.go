@@ -60,7 +60,7 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	// Restore refuses the corrupt snapshot. Last, because the root's error
 	// aborts the simulated cluster like a real node loss would.
 	row[0] = math.Float64frombits(math.Float64bits(orig) ^ 1)
-	if err := sb.Restore(ck); !errors.Is(err, parallel.ErrCheckpointCorrupt) {
+	if err := sb.Reshard(ck); !errors.Is(err, parallel.ErrCheckpointCorrupt) {
 		t.Fatalf("Restore accepted a corrupt checkpoint: %v", err)
 	}
 }

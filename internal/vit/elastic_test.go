@@ -28,8 +28,7 @@ func elasticTC() TrainConfig {
 // collapse onto a single survivor, and the knob that makes the replan keep a
 // multi-rank layout.
 func elasticTopology(mcfg ModelConfig, tc TrainConfig) plan.Topology {
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
-	oneRank := megatron.PlanAlgo().Memory(w, plan.Grid{Ranks: 1})
+	oneRank := megatron.PlanAlgo().Memory(mcfg.Workload(tc.BatchSize), plan.Grid{Ranks: 1})
 	return plan.Topology{MemoryBudget: oneRank - 1}
 }
 
@@ -77,14 +76,14 @@ func TestTrainElastic(t *testing.T) {
 				t.Errorf("cost accounting not positive: collect=%g restore=%g step=%g",
 					run.CollectSeconds, run.RestoreSeconds, run.StepSeconds)
 			}
-			ref, err := TrainLayoutSteps(run.To, ds, mcfg, tc, totalSteps)
+			ref, err := TrainFaulty(run.To, nil, dist.CostModel{}, ds, mcfg, tc, totalSteps)
 			if err != nil {
 				t.Fatalf("reference run at %s: %v", run.To, err)
 			}
 			for s := failStep; s < totalSteps; s++ {
-				if d := math.Abs(run.Losses[s] - ref[s]); d > 1e-8 {
+				if d := math.Abs(run.Losses[s] - ref.Losses[s]); d > 1e-8 {
 					t.Errorf("step %d: elastic loss %.12f vs uninterrupted %.12f (|Δ|=%.3g)",
-						s, run.Losses[s], ref[s], d)
+						s, run.Losses[s], ref.Losses[s], d)
 				}
 			}
 			t.Logf("%s → %s: reshard (collect %.3gs + restore %.3gs) ≈ %.2f steps",
@@ -113,13 +112,13 @@ func TestTrainElasticFirstStep(t *testing.T) {
 	if run.Failure.Rank != 0 {
 		t.Errorf("failure names rank %d, injected into 0", run.Failure.Rank)
 	}
-	ref, err := TrainLayoutSteps(run.To, ds, mcfg, tc, 3)
+	ref, err := TrainFaulty(run.To, nil, dist.CostModel{}, ds, mcfg, tc, 3)
 	if err != nil {
 		t.Fatalf("reference run at %s: %v", run.To, err)
 	}
 	for s := 1; s < 3; s++ {
-		if d := math.Abs(run.Losses[s] - ref[s]); d > 1e-8 {
-			t.Errorf("step %d: elastic loss %.12f vs uninterrupted %.12f", s, run.Losses[s], ref[s])
+		if d := math.Abs(run.Losses[s] - ref.Losses[s]); d > 1e-8 {
+			t.Errorf("step %d: elastic loss %.12f vs uninterrupted %.12f", s, run.Losses[s], ref.Losses[s])
 		}
 	}
 }
@@ -175,11 +174,11 @@ func TestRestoreBitwise(t *testing.T) {
 	if err := sb.Steps(2); err != nil {
 		t.Fatalf("Steps: %v", err)
 	}
-	if err := sb.Restore(ck); err != nil {
+	if err := sb.Reshard(ck); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	after := make([]*parallel.Checkpoint, 8)
-	if err := collectAll(sb, after); err != nil {
+	after, err := sb.Collect()
+	if err != nil {
 		t.Fatalf("collect after restore: %v", err)
 	}
 	if len(after[0].Slots) != len(ck.Slots) {
@@ -200,14 +199,4 @@ func TestRestoreBitwise(t *testing.T) {
 			t.Errorf("slot %d second moment differs after round-trip: %g", i, d)
 		}
 	}
-}
-
-// collectAll snapshots every rank of the bencher's live model.
-func collectAll(sb *StepBencher, cks []*parallel.Checkpoint) error {
-	return sb.c.Run(func(w *dist.Worker) error {
-		r := w.Rank()
-		ck, err := parallel.CollectInto(cks[r], sb.fams[r], sb.models[r], sb.opts[r])
-		cks[r] = ck
-		return err
-	})
 }

@@ -136,9 +136,8 @@ func TestSearchInstantiateTrain(t *testing.T) {
 	serial := NewModel(mcfg)
 	wantLoss, _ := nn.CrossEntropy(serial.Forward(x), labels)
 
-	w := plan.Workload{Batch: tc.BatchSize, SeqLen: mcfg.SeqLen, Hidden: mcfg.Hidden, Heads: mcfg.Heads, Layers: mcfg.Layers}
 	algos := []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
-	plans, err := plan.Search(w, plan.Topology{RankBudget: 8}, algos)
+	plans, err := plan.Search(mcfg.Workload(tc.BatchSize), plan.Topology{RankBudget: 8}, algos)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/nn"
+	"repro/internal/plan"
 	"repro/internal/tensor"
 )
 
@@ -16,6 +17,11 @@ type ModelConfig struct {
 	Layers   int
 	Classes  int
 	Seed     uint64
+}
+
+// Workload is the planner's view of this model trained at a global batch.
+func (c ModelConfig) Workload(batch int) plan.Workload {
+	return plan.Workload{Batch: batch, SeqLen: c.SeqLen, Hidden: c.Hidden, Heads: c.Heads, Layers: c.Layers}
 }
 
 // Positional returns the fixed sinusoidal positional encoding [SeqLen,

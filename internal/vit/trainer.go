@@ -1,15 +1,13 @@
 package vit
 
 import (
-	"fmt"
-
 	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
 
-	// TrainTesseract names the tesseract family, so this package links it;
-	// other families register through the caller's imports.
+	// The Figure 7 meshes are tesseract layouts, so this package links the
+	// family; other families register through the caller's imports.
 	_ "repro/internal/tesseract"
 )
 
@@ -120,61 +118,38 @@ func TrainLayout(l parallel.Layout, ds *Dataset, mcfg ModelConfig, tc TrainConfi
 	if err != nil {
 		return History{}, err
 	}
-	if tc.BatchSize%l.RowShards() != 0 {
-		return History{}, fmt.Errorf("vit: batch %d not divisible by %s's %d row shards", tc.BatchSize, l, l.RowShards())
-	}
-	c := dist.New(dist.Config{WorldSize: l.Ranks})
-	hist := History{Setting: l.String()}
-	s := mcfg.SeqLen
-	err = c.Run(func(w *dist.Worker) error {
-		f, err := parallel.New(w, l)
-		if err != nil {
-			return err
-		}
-		model := NewDistModel(f, mcfg)
-		opt := nn.NewAdam(tc.LR, tc.WeightDecay)
-		params := model.Params()
-		for epoch := 0; epoch < tc.Epochs; epoch++ {
-			order := epochOrder(len(ds.Train), epoch, tc.Seed)
-			var lossSum float64
-			var correct, seen int
-			for start := 0; start+tc.BatchSize <= len(order); start += tc.BatchSize {
-				x, labels := ds.Batch(ds.Train, order[start:start+tc.BatchSize])
-				logits := model.Forward(DistributeBatch(f, x, s))
-				dlogits := w.Workspace().GetUninitMatch(logits.Rows, logits.Cols, logits.Phantom())
-				loss := nn.CrossEntropyInto(dlogits, logits, labels)
-				lossSum += loss
-				correct += nn.CorrectCount(logits, labels)
-				seen += len(labels)
-				for _, pa := range params {
-					pa.ZeroGrad()
-				}
-				model.Backward(dlogits)
-				opt.Step(params)
-				f.EndStep() // step boundary: recycle every activation and scratch buffer
-			}
-			if w.Rank() == 0 {
-				steps := len(order) / tc.BatchSize
-				hist.Loss = append(hist.Loss, lossSum/float64(steps))
-				hist.TrainAcc = append(hist.TrainAcc, float64(correct)/float64(seen))
-			}
-			acc := evalDist(f, model, ds, tc.BatchSize, s)
-			if w.Rank() == 0 {
-				hist.TestAcc = append(hist.TestAcc, acc)
-			}
-		}
-		return nil
-	})
+	reps, err := NewReplicas(dist.New(dist.Config{WorldSize: l.Ranks}), l, ds, mcfg, tc)
 	if err != nil {
 		return History{}, err
 	}
+	hist := History{Setting: l.String()}
+	steps := len(ds.Train) / tc.BatchSize
+	losses := make([]float64, steps)
+	for epoch := 0; epoch < tc.Epochs; epoch++ {
+		var correct int
+		if err := reps.TrainSteps(steps, losses, &correct); err != nil {
+			return History{}, err
+		}
+		var lossSum float64
+		for _, loss := range losses {
+			lossSum += loss
+		}
+		hist.Loss = append(hist.Loss, lossSum/float64(steps))
+		hist.TrainAcc = append(hist.TrainAcc, float64(correct)/float64(steps*tc.BatchSize))
+		var acc float64
+		err := reps.Run(func(w *dist.Worker, rp *Replica) error {
+			a := evalDist(rp.F, rp.Model, ds, tc.BatchSize, mcfg.SeqLen)
+			if w.Rank() == 0 {
+				acc = a
+			}
+			return nil
+		})
+		if err != nil {
+			return History{}, err
+		}
+		hist.TestAcc = append(hist.TestAcc, acc)
+	}
 	return hist, nil
-}
-
-// TrainTesseract trains under a [q, q, d] Tesseract mesh — the Figure 7
-// configuration, kept as a convenience over TrainLayout.
-func TrainTesseract(q, d int, ds *Dataset, mcfg ModelConfig, tc TrainConfig) (History, error) {
-	return TrainLayout(parallel.Layout{Family: "tesseract", Q: q, D: d}, ds, mcfg, tc)
 }
 
 // evalDist computes test accuracy on every rank (the forward pass is

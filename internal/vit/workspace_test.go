@@ -28,7 +28,7 @@ func trainSteps(t *testing.T, pooling bool, n int) []*tensor.Matrix {
 		t.Fatal(err)
 	}
 	var out []*tensor.Matrix
-	for _, pa := range sb.Model(0).Params() {
+	for _, pa := range sb.ranks[0].Model.Params() {
 		out = append(out, pa.Value.Clone())
 	}
 	return out
