@@ -7,11 +7,12 @@ import (
 )
 
 // Handle is one in-flight nonblocking collective, returned by the
-// I-variants (IBroadcastInto, IReduceInto, IAllReduceInto). The issuing
-// call never blocks; Wait blocks until the operation completes, advances
-// the caller's simulated clock to max(own compute, collective finish) —
-// communication overlapped with compute costs max, not sum — and returns
-// ownership of the borrowed buffers.
+// I-variants (IBroadcastInto, IReduceInto, IAllReduceInto,
+// IReduceScatterInto). The issuing call never blocks; Wait blocks until
+// the operation completes, advances the caller's simulated clock to
+// max(own compute, collective finish) — communication overlapped with
+// compute costs max, not sum — and returns ownership of the borrowed
+// buffers.
 //
 // Contract: every matrix handed to an I-collective (payload and
 // destination) is borrowed until Wait returns — it must not be read,
@@ -74,12 +75,11 @@ func (g *Group) issueAsync(w *Worker, kind opKind, root, idx int, payload, dst *
 }
 
 // runBlocking is the shared blocking path: join, park until the round
-// completes, return it for result extraction. The caller must retire the
-// round after reading what it needs.
-func (g *Group) runBlocking(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix) *round {
+// completes, retire.
+func (g *Group) runBlocking(w *Worker, kind opKind, root, idx int, slot, dst *tensor.Matrix) {
 	r, finisher := g.join(w, kind, root, idx, slot, dst)
 	g.waitRound(w, r, finisher)
-	return r
+	g.retire(r)
 }
 
 // mustRootIdx validates that root is a member and returns its slot.
@@ -91,33 +91,14 @@ func (g *Group) mustRootIdx(root int, kind opKind) int {
 	return ridx
 }
 
-// Broadcast distributes the root's payload to every member and returns it.
-// root is a cluster rank that must belong to the group; non-root callers
-// pass payload == nil. The root snapshots the payload once; every member
-// then shares that immutable snapshot zero-copy, so the root is free to
-// mutate its original (an optimiser step on a broadcast weight) while slow
-// peers are still reading. Results are read-only by convention. Callers on
-// a hot path that would immediately copy or discard the snapshot should use
-// BroadcastInto instead.
-func (g *Group) Broadcast(w *Worker, root int, payload *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opBroadcast)
-	ridx := g.mustRootIdx(root, opBroadcast)
-	if payload != nil && len(g.ranks) > 1 {
-		payload = payload.Clone()
-	}
-	r := g.runBlocking(w, opBroadcast, ridx, idx, payload, nil)
-	out := r.result
-	g.retire(r)
-	return out
-}
-
 // BroadcastInto distributes the root's payload into caller-supplied
-// destinations without the snapshot clone: the member completing the
-// operation copies the payload into every member's dst while the operation
-// is still in flight, so the root's buffer is never aliased once the call
-// returns and the root may mutate it immediately. Every member must pass a
-// dst of the payload's shape; the root may pass its payload as dst to skip
-// the self-copy. Time and statistics are charged exactly like Broadcast.
+// destinations: the member completing the operation copies the payload into
+// every member's dst while the operation is still in flight, so the root's
+// buffer is never aliased once the call returns and the root may mutate it
+// immediately. root is a cluster rank that must belong to the group;
+// non-root members pass payload == nil. Every member must pass a dst of the
+// payload's shape; the root may pass its payload as dst to skip the
+// self-copy. Time is charged as a binomial tree (CostModel.BroadcastSeconds).
 // Returns dst.
 func (g *Group) BroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opBroadcastInto)
@@ -125,7 +106,7 @@ func (g *Group) BroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix) 
 	if dst == nil {
 		panic(fmt.Sprintf("dist: rank %d passed nil dst to broadcast-into", w.rank))
 	}
-	g.retire(g.runBlocking(w, opBroadcastInto, ridx, idx, payload, dst))
+	g.runBlocking(w, opBroadcastInto, ridx, idx, payload, dst)
 	return dst
 }
 
@@ -142,37 +123,18 @@ func (g *Group) IBroadcastInto(w *Worker, root int, payload, dst *tensor.Matrix)
 	return g.issueAsync(w, opBroadcastInto, ridx, idx, payload, dst)
 }
 
-// Reduce sums every member's matrix onto the root: the root receives an
-// owned buffer it may mutate, every other member receives nil. The partial
-// sums combine in the fixed association of a binomial tree over the group's
-// virtual positions, so the result is schedule-independent down to the bit.
-func (g *Group) Reduce(w *Worker, root int, m *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opReduce)
-	ridx := g.mustRootIdx(root, opReduce)
-	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to reduce", w.rank))
-	}
-	r := g.runBlocking(w, opReduce, ridx, idx, m, nil)
-	var out *tensor.Matrix
-	if idx == ridx {
-		out = r.result
-	}
-	g.retire(r)
-	return out
-}
-
-// ReduceInto is Reduce with a root-supplied accumulator: the sum lands in
-// the root's dst (which may alias its m) instead of a freshly allocated
-// buffer, in the same binomial-tree association — bit-identical to Reduce.
-// Non-root members pass dst == nil and receive nil. Every member's m is
-// fully consumed before the collective returns, so callers may overwrite
-// their partials immediately — the contract that lets SUMMA reuse its
-// partial buffers across iterations.
+// ReduceInto sums every member's matrix into the root's dst (which may
+// alias its m). The partial sums combine in the fixed association of a
+// binomial tree over the group's virtual positions, rooted at the root, so
+// the result is schedule-independent down to the bit. Non-root members pass
+// dst == nil and receive nil. Every member's m is fully consumed before the
+// collective returns, so callers may overwrite their partials immediately —
+// the contract that lets SUMMA reuse its partial buffers across iterations.
 func (g *Group) ReduceInto(w *Worker, root int, m, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opReduceInto)
 	ridx := g.mustRootIdx(root, opReduceInto)
 	checkReduceInto(w, idx, ridx, m, dst)
-	g.retire(g.runBlocking(w, opReduceInto, ridx, idx, m, dst))
+	g.runBlocking(w, opReduceInto, ridx, idx, m, dst)
 	return dst
 }
 
@@ -195,29 +157,16 @@ func checkReduceInto(w *Worker, idx, ridx int, m, dst *tensor.Matrix) {
 	}
 }
 
-// AllReduce sums every member's matrix and hands each member its own owned
-// copy of the result (callers may mutate it; the replicas are bit-identical
-// because one sum is computed once, then cloned). Time is charged as a
-// bandwidth-optimal ring.
-func (g *Group) AllReduce(w *Worker, m *tensor.Matrix) *tensor.Matrix {
-	idx := g.mustIndex(w, opAllReduce)
-	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to allreduce", w.rank))
-	}
-	r := g.runBlocking(w, opAllReduce, -1, idx, m, nil)
-	out := r.results[idx]
-	g.retire(r)
-	return out
-}
-
-// AllReduceInto sums every member's matrix into each member's own dst —
-// bit-identical to AllReduce but with no retained allocation. dst may alias
-// m, giving an in-place all-reduce. Every member's buffers are exclusively
-// owned again the moment the call returns. Returns dst.
+// AllReduceInto sums every member's matrix into each member's own dst, in
+// ReduceInto's binomial-tree association rooted at the group's first
+// member; one sum is computed and copied, so the replicas are bit-identical.
+// dst may alias m, giving an in-place all-reduce. Every member's buffers are
+// exclusively owned again the moment the call returns. Time is charged as a
+// bandwidth-optimal ring. Returns dst.
 func (g *Group) AllReduceInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opAllReduceInto)
 	checkAllReduceInto(w, m, dst)
-	g.retire(g.runBlocking(w, opAllReduceInto, -1, idx, m, dst))
+	g.runBlocking(w, opAllReduceInto, -1, idx, m, dst)
 	return dst
 }
 
@@ -240,32 +189,12 @@ func checkAllReduceInto(w *Worker, m, dst *tensor.Matrix) {
 	}
 }
 
-// AllGather returns every member's matrix in the group's canonical order.
-// Each member snapshots its own block once at entry; the n members then
-// share the n immutable snapshots (read-only by convention) instead of
-// paying n−1 copies each. The returned slice itself is private.
-func (g *Group) AllGather(w *Worker, m *tensor.Matrix) []*tensor.Matrix {
-	idx := g.mustIndex(w, opAllGather)
-	if m == nil {
-		panic(fmt.Sprintf("dist: rank %d passed nil to allgather", w.rank))
-	}
-	if len(g.ranks) > 1 {
-		m = m.Clone()
-	}
-	r := g.runBlocking(w, opAllGather, -1, idx, m, nil)
-	out := make([]*tensor.Matrix, len(r.slots))
-	copy(out, r.slots)
-	g.retire(r)
-	return out
-}
-
 // AllGatherInto gathers every member's equal-shaped block into each
-// member's own dst, concatenated in canonical order — the allocation-free
-// AllGather for callers that would immediately pack the blocks into one
-// matrix. The orientation follows dst's shape: [n·rows, cols] stacks the
-// blocks vertically, [rows, n·cols] side by side. Every member's m is fully
-// read before the call returns (no snapshot, no aliasing), and time and
-// statistics are charged exactly like AllGather. Returns dst.
+// member's own dst, concatenated in the group's canonical order. The
+// orientation follows dst's shape: [n·rows, cols] stacks the blocks
+// vertically, [rows, n·cols] side by side. Every member's m is fully read
+// before the call returns (no snapshot, no aliasing). Time is charged as a
+// ring all-gather. Returns dst.
 func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opAllGatherInto)
 	if m == nil {
@@ -281,7 +210,7 @@ func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("dist: allgather-into dst %dx%d fits neither %dx%d nor %dx%d for %d blocks of %dx%d",
 			dst.Rows, dst.Cols, n*m.Rows, m.Cols, m.Rows, n*m.Cols, n, m.Rows, m.Cols))
 	}
-	g.retire(g.runBlocking(w, opAllGatherInto, -1, idx, m, dst))
+	g.runBlocking(w, opAllGatherInto, -1, idx, m, dst)
 	return dst
 }
 
@@ -299,7 +228,7 @@ func (g *Group) AllGatherInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 func (g *Group) ReduceScatterInto(w *Worker, m, dst *tensor.Matrix) *tensor.Matrix {
 	idx := g.mustIndex(w, opReduceScatterInto)
 	checkReduceScatterInto(w, g, m, dst)
-	g.retire(g.runBlocking(w, opReduceScatterInto, -1, idx, m, dst))
+	g.runBlocking(w, opReduceScatterInto, -1, idx, m, dst)
 	return dst
 }
 
@@ -333,5 +262,5 @@ func checkReduceScatterInto(w *Worker, g *Group, m, dst *tensor.Matrix) {
 // the common post-barrier time. It moves no payload.
 func (g *Group) Barrier(w *Worker) {
 	idx := g.mustIndex(w, opBarrier)
-	g.retire(g.runBlocking(w, opBarrier, -1, idx, nil, nil))
+	g.runBlocking(w, opBarrier, -1, idx, nil, nil)
 }

@@ -72,15 +72,6 @@ func (m CostModel) withDefaults() CostModel {
 	return m
 }
 
-// OverlapTime is the overlap-aware cost of one pipelined stage: comm that
-// runs concurrently with compute costs max(comm, compute) instead of their
-// sum. It is the per-iteration term of PipelinedSummaTime, exposed so
-// callers can price other overlapped schedules (gradient sync behind a
-// backward pass, a pipeline handoff behind a reduce).
-func OverlapTime(comm, compute float64) float64 {
-	return math.Max(comm, compute)
-}
-
 // HiddenFraction predicts the fraction of comm time a perfectly pipelined
 // schedule hides behind compute: min(comm, compute)/comm — all of it when
 // compute dominates, compute/comm of it when comm dominates. Zero comm
@@ -91,18 +82,6 @@ func HiddenFraction(comm, compute float64) float64 {
 		return 1
 	}
 	return math.Min(comm, compute) / comm
-}
-
-// PipelinedSummaTime predicts one double-buffered SUMMA pass of q
-// iterations with per-iteration communication commPerIter and GEMM time
-// computePerIter: the first panel transfer cannot hide (pipeline fill),
-// after which every iteration costs max(comm, compute) instead of the
-// blocking schedule's comm + compute.
-func (m CostModel) PipelinedSummaTime(q int, commPerIter, computePerIter float64) float64 {
-	if q <= 0 {
-		return 0
-	}
-	return commPerIter + float64(q)*OverlapTime(commPerIter, computePerIter)
 }
 
 // linkBeta selects the per-byte rate the exported pricing helpers charge:
@@ -117,7 +96,7 @@ func (m CostModel) linkBeta(interNode bool) float64 {
 
 // BroadcastSeconds prices a binomial-tree broadcast of b bytes among n
 // ranks (inter-node links when interNode is set) — the per-iteration comm
-// term analytic studies feed into PipelinedSummaTime and HiddenFraction.
+// term analytic studies feed into HiddenFraction.
 func (m CostModel) BroadcastSeconds(n int, b int64, interNode bool) float64 {
 	return m.broadcastTime(n, b, m.linkBeta(interNode))
 }

@@ -70,9 +70,6 @@ func TestClusterWithPartialCostModelHasFiniteClocks(t *testing.T) {
 }
 
 func TestOverlapEstimates(t *testing.T) {
-	if got := OverlapTime(3, 5); got != 5 {
-		t.Fatalf("OverlapTime(3,5) = %g, want max = 5", got)
-	}
 	if got := HiddenFraction(4, 2); got != 0.5 {
 		t.Fatalf("HiddenFraction(4,2) = %g, want 0.5 (compute hides half the comm)", got)
 	}
@@ -83,20 +80,6 @@ func TestOverlapEstimates(t *testing.T) {
 		t.Fatalf("HiddenFraction(0,4) = %g, want the trivial 1", got)
 	}
 	m := MeluxinaModel()
-	// Blocking SUMMA pays q·(comm+compute); the pipelined estimate pays the
-	// fill plus q·max — strictly cheaper whenever both terms are nonzero.
-	q, comm, comp := 4, 3.0, 2.0
-	blocking := float64(q) * (comm + comp)
-	pipelined := m.PipelinedSummaTime(q, comm, comp)
-	if want := comm + float64(q)*comm; pipelined != want {
-		t.Fatalf("PipelinedSummaTime = %g, want fill + q·max = %g", pipelined, want)
-	}
-	if pipelined >= blocking {
-		t.Fatalf("pipelined estimate %g should undercut blocking %g", pipelined, blocking)
-	}
-	if m.PipelinedSummaTime(0, comm, comp) != 0 {
-		t.Fatal("zero iterations must cost nothing")
-	}
 	// Exported pricing helpers agree with the internal charge functions.
 	if got, want := m.BroadcastSeconds(4, 1024, false), m.broadcastTime(4, 1024, m.BetaIntra); got != want {
 		t.Fatalf("BroadcastSeconds intra = %g, want %g", got, want)
@@ -157,28 +140,5 @@ func TestNonPowerOfTwoGroupPricing(t *testing.T) {
 	}
 	if got, want := m.ReduceSeconds(6, b, true), m.BroadcastSeconds(6, b, true); got != want {
 		t.Errorf("reduce %g must price like broadcast %g (reversed tree)", got, want)
-	}
-}
-
-// TestPipelinedSummaTimeMonotonicInQ: more SUMMA iterations can never be
-// predicted cheaper — the planner's ranking depends on this.
-func TestPipelinedSummaTimeMonotonicInQ(t *testing.T) {
-	m := MeluxinaModel()
-	for _, tc := range []struct{ comm, comp float64 }{
-		{1e-3, 2e-3}, // compute-bound
-		{2e-3, 1e-3}, // comm-bound
-		{1e-3, 1e-3}, // balanced
-		{0, 1e-3},    // free links
-		{1e-3, 0},    // free compute
-	} {
-		prev := m.PipelinedSummaTime(1, tc.comm, tc.comp)
-		for q := 2; q <= 16; q++ {
-			cur := m.PipelinedSummaTime(q, tc.comm, tc.comp)
-			if cur <= prev && (tc.comm > 0 || tc.comp > 0) {
-				t.Errorf("PipelinedSummaTime(comm=%g, comp=%g) not increasing at q=%d: %g then %g",
-					tc.comm, tc.comp, q, prev, cur)
-			}
-			prev = cur
-		}
 	}
 }

@@ -22,26 +22,27 @@
 // association of a binomial tree over the group's virtual positions, so
 // results are deterministic and replicas stay bit-identical. Every
 // operation is a rendezvous round: members file arrivals without blocking
-// and the last arriver computes the whole outcome once. The
-// destination-passing variants (BroadcastInto, ReduceInto, AllReduceInto,
-// AllGatherInto) land results in caller-supplied buffers with the contract
-// that every cross-member read completes before any member returns — which
-// is what lets SUMMA reuse its panels (see tensor.Workspace for ownership
-// rules). Steady-state collectives allocate nothing.
+// and the last arriver computes the whole outcome once. Every collective
+// is destination-passing (BroadcastInto, ReduceInto, AllReduceInto,
+// AllGatherInto, ReduceScatterInto; Barrier moves no payload): results land
+// in caller-supplied buffers with the contract that every cross-member read
+// completes before any member returns — which is what lets SUMMA reuse its
+// panels (see tensor.Workspace for ownership rules). Steady-state
+// collectives allocate nothing.
 //
 // # Nonblocking collectives
 //
-// IBroadcastInto, IReduceInto and IAllReduceInto issue without blocking
-// and return a Handle: issue, compute, Wait (exactly once). Operations on
-// one group pair up in per-worker issue order (mismatches panic), buffers
-// lent to an in-flight operation are borrowed until Wait (the workspace
-// panics on Put or ReleaseAll while a borrow is outstanding), and results
-// are bit-identical to the blocking forms. Simulated time models the
+// IBroadcastInto, IReduceInto, IAllReduceInto and IReduceScatterInto
+// issue without blocking and return a Handle: issue, compute, Wait
+// (exactly once). Operations on one group pair up in per-worker issue
+// order (mismatches panic), buffers lent to an in-flight operation are
+// borrowed until Wait (the workspace panics on Put or ReleaseAll while a
+// borrow is outstanding), and results are bit-identical to the blocking
+// forms. Simulated time models the
 // overlap: Wait advances the clock to max(compute, comm) instead of their
 // sum, with each group serialising its own operations like one pipeline
 // channel. Cluster.Overlap reports the comm time hidden behind compute;
-// CostModel.PipelinedSummaTime and HiddenFraction are the analytic
-// counterparts.
+// HiddenFraction is the analytic counterpart.
 //
 // # Cost model and phantom mode
 //

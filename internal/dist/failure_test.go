@@ -124,7 +124,7 @@ func TestSurvivorsAndRecover(t *testing.T) {
 	if err := c2.Run(func(w *Worker) error {
 		m := tensor.New(1, 1)
 		m.Set(0, 0, 1)
-		s := c2.WorldGroup().AllReduce(w, m)
+		s := c2.WorldGroup().AllReduceInto(w, m, m)
 		if s.At(0, 0) != 3 {
 			t.Errorf("rank %d: all-reduce = %g, want 3", w.Rank(), s.At(0, 0))
 		}

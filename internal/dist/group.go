@@ -9,9 +9,9 @@ import (
 )
 
 // Group is a communicator over a fixed, ordered set of cluster ranks. The
-// rank list passed to Cluster.Group is the canonical order: AllGather
-// returns blocks in it, Index maps a cluster rank to its slot. Members must
-// invoke the same sequence of collectives on a group — blocking calls and
+// rank list passed to Cluster.Group is the canonical order: AllGatherInto
+// concatenates blocks in it, Index maps a cluster rank to its slot. Members
+// must invoke the same sequence of collectives on a group — blocking calls and
 // nonblocking issues count alike, in per-member program order; the runtime
 // checks that the arrivals pairing into one operation agree on the kind and
 // root.
@@ -40,21 +40,16 @@ type Group struct {
 type opKind uint8
 
 const (
-	opBroadcast opKind = iota
-	opBroadcastInto
-	opReduce
+	opBroadcastInto opKind = iota
 	opReduceInto
-	opAllReduce
 	opAllReduceInto
-	opAllGather
 	opAllGatherInto
 	opReduceScatterInto
 	opBarrier
 )
 
 var opKindNames = [...]string{
-	"broadcast", "broadcast-into", "reduce", "reduce-into",
-	"allreduce", "allreduce-into", "allgather", "allgather-into",
+	"broadcast-into", "reduce-into", "allreduce-into", "allgather-into",
 	"reduce-scatter-into", "barrier",
 }
 
@@ -92,7 +87,6 @@ type round struct {
 	steps   []int // per-member step index at arrival, for fault activation
 	slots   []*tensor.Matrix
 	dsts    []*tensor.Matrix
-	results []*tensor.Matrix // per-member owned outputs (classic all-reduce)
 	done    chan struct{}
 
 	// gen increments every time the round is recycled, so a stale Handle
@@ -108,8 +102,6 @@ type round struct {
 	// attribute to the operation.
 	commBase float64
 	newClock float64
-
-	result *tensor.Matrix
 }
 
 func newGroup(c *Cluster, ranks []int) *Group {
@@ -268,24 +260,22 @@ func (g *Group) newRound(kind opKind, root int) *round {
 			r.waited[i] = false
 			r.clocks[i] = 0
 			r.steps[i] = 0
-			r.slots[i], r.dsts[i], r.results[i] = nil, nil, nil
+			r.slots[i], r.dsts[i] = nil, nil
 		}
 		r.completed.Store(false)
 		r.commBase, r.newClock = 0, 0
-		r.result = nil
 		return r
 	}
 	return &round{
-		kind:    kind,
-		root:    root,
-		filled:  make([]bool, n),
-		waited:  make([]bool, n),
-		clocks:  make([]float64, n),
-		steps:   make([]int, n),
-		slots:   make([]*tensor.Matrix, n),
-		dsts:    make([]*tensor.Matrix, n),
-		results: make([]*tensor.Matrix, n),
-		done:    make(chan struct{}, n),
+		kind:   kind,
+		root:   root,
+		filled: make([]bool, n),
+		waited: make([]bool, n),
+		clocks: make([]float64, n),
+		steps:  make([]int, n),
+		slots:  make([]*tensor.Matrix, n),
+		dsts:   make([]*tensor.Matrix, n),
+		done:   make(chan struct{}, n),
 	}
 }
 
@@ -301,9 +291,8 @@ func (g *Group) retire(r *round) {
 	// Drop payload references now rather than at reuse: a group that goes
 	// quiet must not pin its last collective's matrices.
 	for i := range r.slots {
-		r.slots[i], r.dsts[i], r.results[i] = nil, nil, nil
+		r.slots[i], r.dsts[i] = nil, nil
 	}
-	r.result = nil
 	g.mu.Lock()
 	g.spare = append(g.spare, r)
 	g.mu.Unlock()
@@ -322,65 +311,28 @@ func (g *Group) finish(rank int, r *round) {
 	}
 	cost := &g.c.cost
 	switch r.kind {
-	case opBroadcast, opBroadcastInto:
+	case opBroadcastInto:
 		m := r.slots[r.root]
 		if m == nil {
 			panic(fmt.Sprintf("dist: broadcast root %d passed a nil payload", rootRank(g, r.root)))
 		}
-		if r.kind == opBroadcast {
-			r.result = m
-		} else {
-			for _, d := range r.dsts {
-				if d == m {
-					// The root broadcasting into its own payload (the
-					// in-place idiom) needs no copy.
-					continue
-				}
-				tensor.CopyInto(d, m)
+		for _, d := range r.dsts {
+			if d == m {
+				// The root broadcasting into its own payload (the in-place
+				// idiom) needs no copy.
+				continue
 			}
+			tensor.CopyInto(d, m)
 		}
 		bytes := matrixBytes(m)
 		r.newClock = r.commBase + cost.broadcastTime(n, bytes, g.beta)
 		g.c.stats.record(rank, statBroadcast, int64(n-1), int64(n-1)*bytes)
-
-	case opReduce:
-		m := r.slots[r.root]
-		var dst *tensor.Matrix
-		if m.Phantom() {
-			dst = tensor.NewPhantom(m.Rows, m.Cols)
-		} else {
-			dst = tensor.New(m.Rows, m.Cols)
-		}
-		g.combineInto(r, dst)
-		r.result = dst
-		bytes := matrixBytes(m)
-		r.newClock = r.commBase + cost.broadcastTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statReduce, int64(n-1), int64(n-1)*bytes)
 
 	case opReduceInto:
 		g.combineInto(r, r.dsts[r.root])
 		bytes := matrixBytes(r.slots[r.root])
 		r.newClock = r.commBase + cost.broadcastTime(n, bytes, g.beta)
 		g.c.stats.record(rank, statReduce, int64(n-1), int64(n-1)*bytes)
-
-	case opAllReduce:
-		m := r.slots[0]
-		var dst *tensor.Matrix
-		if m.Phantom() {
-			dst = tensor.NewPhantom(m.Rows, m.Cols)
-		} else {
-			dst = tensor.New(m.Rows, m.Cols)
-		}
-		g.combineInto(r, dst)
-		// Every member owns its copy outright, so the copies must exist
-		// before any member can see the outcome and start mutating its own.
-		r.results[0] = dst
-		for i := 1; i < n; i++ {
-			r.results[i] = dst.Clone()
-		}
-		bytes := matrixBytes(m)
-		r.newClock = r.commBase + cost.allReduceTime(n, bytes, g.beta)
-		g.c.stats.record(rank, statAllReduce, 2*int64(n-1), 2*int64(n-1)*bytes)
 
 	case opAllReduceInto:
 		dst := r.dsts[0]
@@ -392,20 +344,11 @@ func (g *Group) finish(rank int, r *round) {
 		r.newClock = r.commBase + cost.allReduceTime(n, bytes, g.beta)
 		g.c.stats.record(rank, statAllReduce, 2*int64(n-1), 2*int64(n-1)*bytes)
 
-	case opAllGather, opAllGatherInto:
-		var sum, max int64
-		for _, s := range r.slots {
-			b := matrixBytes(s)
-			sum += b
-			if b > max {
-				max = b
-			}
-		}
-		if r.kind == opAllGatherInto {
-			g.gatherInto(r)
-		}
-		r.newClock = r.commBase + cost.allGatherTime(n, max, g.beta)
-		g.c.stats.record(rank, statAllGather, int64(n)*int64(n-1), int64(n-1)*sum)
+	case opAllGatherInto:
+		g.gatherInto(r)
+		bytes := matrixBytes(r.slots[0])
+		r.newClock = r.commBase + cost.allGatherTime(n, bytes, g.beta)
+		g.c.stats.record(rank, statAllGather, int64(n)*int64(n-1), int64(n-1)*int64(n)*bytes)
 
 	case opReduceScatterInto:
 		g.scatterCombineInto(r)
@@ -577,10 +520,17 @@ func (g *Group) scatterCombineInto(r *round) {
 // gatherInto copies every member's slot into every member's destination in
 // canonical order. The orientation follows the destination shape: a
 // [n·rows, cols] destination stacks the blocks vertically, a [rows, n·cols]
-// destination side by side (shapes are validated at issue time).
+// destination side by side (each member's dst was checked against its own
+// block at issue time; the blocks must agree with each other).
 func (g *Group) gatherInto(r *round) {
 	n := len(g.ranks)
 	block := r.slots[0]
+	for i, s := range r.slots {
+		if !s.SameShape(block) || s.Phantom() != block.Phantom() {
+			panic(fmt.Sprintf("dist: %s on group %v: rank %d contributed %dx%d (phantom=%v), member 0 holds %dx%d (phantom=%v)",
+				r.kind, g.ranks, g.ranks[i], s.Rows, s.Cols, s.Phantom(), block.Rows, block.Cols, block.Phantom()))
+		}
+	}
 	for _, d := range r.dsts {
 		byRows := d.Rows == n*block.Rows && d.Cols == block.Cols
 		for v, s := range r.slots {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/tensor"
@@ -13,40 +14,27 @@ func errRankf(w *Worker, format string, args ...any) error {
 	return fmt.Errorf("rank %d: %s", w.Rank(), fmt.Sprintf(format, args...))
 }
 
-// fillRank gives each rank a distinct deterministic matrix.
+// fillRank gives each rank a distinct deterministic matrix. The values
+// are signed, span 48 binades and sit a third off the binary grid, so sums
+// of them round differently under every change of association.
 func fillRank(rank, rows, cols int) *tensor.Matrix {
 	m := tensor.New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = float64(rank*1000+i) * 0.5
+		m.Data[i] = float64((rank*7+i*3)%11-5) * math.Ldexp(1, (rank*5+i)%13*4-24) / 3
 	}
 	return m
 }
 
+// TestBroadcastIntoMatchesBroadcast: every member ends with the root's
+// payload, bit for bit, at the reference clock and traffic, for every root
+// of every group size, blocking or not, in place at the root or not.
 func TestBroadcastIntoMatchesBroadcast(t *testing.T) {
-	const n, root = 4, 2
-	want := make([]*tensor.Matrix, n)
-	got := make([]*tensor.Matrix, n)
-	runWorld(t, n, func(w *Worker) error {
-		g := w.Cluster().WorldGroup()
-		var payload *tensor.Matrix
-		if w.Rank() == root {
-			payload = fillRank(root, 3, 5)
-		}
-		want[w.Rank()] = g.Broadcast(w, root, payload)
-
-		dst := tensor.New(3, 5)
-		if w.Rank() == root {
-			dst = fillRank(root, 3, 5)
-			g.BroadcastInto(w, root, dst, dst)
-		} else {
-			g.BroadcastInto(w, root, nil, dst)
-		}
-		got[w.Rank()] = dst
-		return nil
-	})
-	for r := 0; r < n; r++ {
-		if !want[r].Equal(got[r]) {
-			t.Fatalf("rank %d: BroadcastInto differs from Broadcast", r)
+	for _, n := range refSizes {
+		for root := 0; root < n; root++ {
+			for _, async := range []bool{false, true} {
+				checkCases(t, refCase(opBroadcastInto, n, root, 3, 5, async, false),
+					refCase(opBroadcastInto, n, root, 3, 5, async, true))
+			}
 		}
 	}
 }
@@ -79,63 +67,38 @@ func TestBroadcastIntoRootMayMutateImmediately(t *testing.T) {
 	}
 }
 
+// TestReduceIntoMatchesReduceBitwise: the root's sum equals the reference
+// binomial tree rooted at the root, bit for bit, for every root of every
+// group size, blocking or not, into a separate accumulator or in place.
 func TestReduceIntoMatchesReduceBitwise(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 8} {
-		const root = 0
-		var want, got *tensor.Matrix
-		runWorld(t, n, func(w *Worker) error {
-			g := w.Cluster().WorldGroup()
-			m := fillRank(w.Rank(), 4, 4)
-			r := g.Reduce(w, root, m)
-			var dst *tensor.Matrix
-			if w.Rank() == root {
-				dst = tensor.New(4, 4)
+	for _, n := range refSizes {
+		for root := 0; root < n; root++ {
+			for _, async := range []bool{false, true} {
+				checkCases(t, refCase(opReduceInto, n, root, 4, 4, async, false),
+					refCase(opReduceInto, n, root, 4, 4, async, true))
 			}
-			r2 := g.ReduceInto(w, root, fillRank(w.Rank(), 4, 4), dst)
-			if w.Rank() == root {
-				want, got = r, r2
-			} else if r2 != nil {
-				t.Errorf("n=%d rank %d: non-root ReduceInto must return nil", n, w.Rank())
-			}
-			return nil
-		})
-		if !want.Equal(got) {
-			t.Fatalf("n=%d: ReduceInto differs bitwise from Reduce", n)
 		}
 	}
 }
 
+// TestAllReduceIntoMatchesAllReduceBitwise: every member holds the
+// reference tree sum rooted at the first member, bit for bit, blocking or
+// not, in place or into a separate destination.
 func TestAllReduceIntoMatchesAllReduceBitwise(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 8} {
-		want := make([]*tensor.Matrix, n)
-		got := make([]*tensor.Matrix, n)
-		runWorld(t, n, func(w *Worker) error {
-			g := w.Cluster().WorldGroup()
-			want[w.Rank()] = g.AllReduce(w, fillRank(w.Rank(), 3, 3))
-			// In-place variant: dst aliases m.
-			m := fillRank(w.Rank(), 3, 3)
-			out := g.AllReduceInto(w, m, m)
-			if out != m {
-				t.Errorf("AllReduceInto must return dst")
-			}
-			got[w.Rank()] = out
-			return nil
-		})
-		for r := 0; r < n; r++ {
-			if !want[r].Equal(got[r]) {
-				t.Fatalf("n=%d rank %d: in-place AllReduceInto differs bitwise from AllReduce", n, r)
-			}
+	for _, n := range refSizes {
+		for _, async := range []bool{false, true} {
+			checkCases(t, refCase(opAllReduceInto, n, 0, 3, 3, async, false),
+				refCase(opAllReduceInto, n, 0, 3, 3, async, true))
 		}
 	}
 }
 
 func TestReduceIntoConsumesPartialBeforeReturn(t *testing.T) {
 	// SUMMA's reuse contract: a member may overwrite its partial the moment
-	// ReduceInto returns. Run q rounds reusing one buffer per member and
-	// check the root sums against fresh-buffer Reduce.
+	// ReduceInto returns. Run several rounds reusing one buffer per member
+	// and check the root's sums against the reference on fresh inputs.
 	const n, rounds = 4, 3
 	sums := make([]*tensor.Matrix, rounds)
-	wants := make([]*tensor.Matrix, rounds)
 	runWorld(t, n, func(w *Worker) error {
 		g := w.Cluster().WorldGroup()
 		partial := tensor.New(2, 2)
@@ -144,23 +107,20 @@ func TestReduceIntoConsumesPartialBeforeReturn(t *testing.T) {
 			dst = tensor.New(2, 2)
 		}
 		for round := 0; round < rounds; round++ {
-			src := fillRank(w.Rank()+round*10, 2, 2)
-			copy(partial.Data, src.Data)
+			copy(partial.Data, fillRank(w.Rank()+round*10, 2, 2).Data)
 			r := g.ReduceInto(w, 0, partial, dst)
 			if w.Rank() == 0 {
 				sums[round] = r.Clone()
 			}
 		}
-		for round := 0; round < rounds; round++ {
-			r := g.Reduce(w, 0, fillRank(w.Rank()+round*10, 2, 2))
-			if w.Rank() == 0 {
-				wants[round] = r
-			}
-		}
 		return nil
 	})
 	for round := 0; round < rounds; round++ {
-		if !wants[round].Equal(sums[round]) {
+		in := make([]*tensor.Matrix, n)
+		for r := range in {
+			in[r] = fillRank(r+round*10, 2, 2)
+		}
+		if !sameBits(sums[round], refReduce(in, 0)) {
 			t.Fatalf("round %d: reused-partial ReduceInto corrupted the sum", round)
 		}
 	}
@@ -201,6 +161,13 @@ func TestIntoCollectivesSteadyStateAllocationFree(t *testing.T) {
 }
 
 func TestIntoCollectivesPropagatePhantoms(t *testing.T) {
+	for _, kind := range []opKind{opBroadcastInto, opReduceInto, opAllReduceInto, opAllGatherInto, opReduceScatterInto} {
+		c := refCase(kind, 4, 1, 4, 4, false, false)
+		for r := range c.in {
+			c.in[r] = tensor.NewPhantom(c.in[r].Rows, c.in[r].Cols)
+		}
+		checkCases(t, c)
+	}
 	runWorld(t, 4, func(w *Worker) error {
 		g := w.Cluster().WorldGroup()
 		ph := tensor.NewPhantom(4, 4)
@@ -220,28 +187,11 @@ func TestIntoCollectivesPropagatePhantoms(t *testing.T) {
 }
 
 func TestIntoCollectivesChargeLikeClassic(t *testing.T) {
-	// Same payload, same group: the Into variants must advance the
-	// simulated clocks exactly as the snapshot/cloning variants do.
-	timeOf := func(fn func(w *Worker, g *Group)) float64 {
-		c := New(Config{WorldSize: 4})
-		if err := c.Run(func(w *Worker) error {
-			fn(w, c.WorldGroup())
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return c.MaxClock()
-	}
-	classic := timeOf(func(w *Worker, g *Group) {
-		var payload *tensor.Matrix
-		if w.Rank() == 0 {
-			payload = tensor.New(8, 8)
-		}
-		g.Broadcast(w, 0, payload)
-		g.Reduce(w, 0, tensor.New(8, 8))
-		g.AllReduce(w, tensor.New(8, 8))
-	})
-	into := timeOf(func(w *Worker, g *Group) {
+	// A sequence of collectives on one group advances the clocks by the
+	// sum of the classic α–β charges the CostModel exports, in issue order.
+	c := New(Config{WorldSize: 4})
+	if err := c.Run(func(w *Worker) error {
+		g := c.WorldGroup()
 		m := tensor.New(8, 8)
 		if w.Rank() == 0 {
 			g.BroadcastInto(w, 0, m, m)
@@ -254,37 +204,29 @@ func TestIntoCollectivesChargeLikeClassic(t *testing.T) {
 		}
 		g.ReduceInto(w, 0, m, dst)
 		g.AllReduceInto(w, m, m)
-	})
-	if classic != into {
-		t.Fatalf("simulated time drifted: classic %g vs into %g", classic, into)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cost := MeluxinaModel()
+	const b = 8 * 8 * 8
+	want := cost.BroadcastSeconds(4, b, false) + cost.ReduceSeconds(4, b, false) + cost.AllReduceSeconds(4, b, false)
+	if got := c.MaxClock(); got != want {
+		t.Fatalf("simulated time %g, want the α–β sum %g", got, want)
 	}
 }
 
-// TestAllGatherInto covers both orientations, phantom propagation, and the
-// accounting equivalence with the snapshotting AllGather.
+// TestAllGatherInto covers both orientations against the reference on
+// every group size, phantom propagation, and shape validation.
 func TestAllGatherInto(t *testing.T) {
-	const n = 4
-	rows := make([]*tensor.Matrix, n)
-	cols := make([]*tensor.Matrix, n)
-	runWorld(t, n, func(w *Worker) error {
-		g := w.Cluster().WorldGroup()
-		m := fillRank(w.Rank(), 2, 3)
-		v := g.AllGatherInto(w, m, tensor.New(n*2, 3))
-		h := g.AllGatherInto(w, m, tensor.New(2, n*3))
-		rows[w.Rank()], cols[w.Rank()] = v, h
-		return nil
-	})
-	for r := 0; r < n; r++ {
-		for member := 0; member < n; member++ {
-			want := fillRank(member, 2, 3)
-			if !rows[r].SubMatrix(member*2, 0, 2, 3).Equal(want) {
-				t.Fatalf("rank %d: vertical slot %d corrupted", r, member)
-			}
-			if !cols[r].SubMatrix(0, member*3, 2, 3).Equal(want) {
-				t.Fatalf("rank %d: horizontal slot %d corrupted", r, member)
-			}
+	for _, n := range refSizes {
+		for _, byRows := range []bool{false, true} {
+			c := refCase(opAllGatherInto, n, 0, 2, 3, false, false)
+			c.byRows = byRows
+			checkCases(t, c)
 		}
 	}
+	const n = 4
 
 	// Phantom blocks gather into a phantom destination without arithmetic.
 	runWorld(t, n, func(w *Worker) error {
@@ -310,31 +252,5 @@ func TestAllGatherInto(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Clock and traffic must match AllGather exactly.
-	timeAndStats := func(into bool) (float64, Stats) {
-		c := New(Config{WorldSize: n})
-		if err := c.Run(func(w *Worker) error {
-			g := w.Cluster().WorldGroup()
-			m := fillRank(w.Rank(), 2, 3)
-			if into {
-				g.AllGatherInto(w, m, tensor.New(n*2, 3))
-			} else {
-				g.AllGather(w, m)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return c.MaxClock(), c.Stats()
-	}
-	classicClock, classicStats := timeAndStats(false)
-	intoClock, intoStats := timeAndStats(true)
-	if classicClock != intoClock {
-		t.Fatalf("AllGatherInto clock %g != AllGather clock %g", intoClock, classicClock)
-	}
-	if classicStats.Messages != intoStats.Messages || classicStats.Bytes != intoStats.Bytes {
-		t.Fatalf("AllGatherInto stats %+v != AllGather stats %+v", intoStats, classicStats)
 	}
 }

@@ -13,6 +13,11 @@ import (
 // row block i out of the sum. Group sizes cover the degenerate, the
 // power-of-two and the ragged tree shapes.
 func TestReduceScatterIntoMatchesReduceThenScatter(t *testing.T) {
+	for _, n := range refSizes {
+		for _, async := range []bool{false, true} {
+			checkCases(t, refCase(opReduceScatterInto, n, 0, 2, 3, async, false))
+		}
+	}
 	for _, n := range []int{1, 2, 3, 4, 7, 8} {
 		const br, cols = 2, 3
 		rows := n * br

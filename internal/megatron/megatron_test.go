@@ -65,11 +65,10 @@ func TestColLinearMatchesSerial(t *testing.T) {
 				dyLocal := dy.SubMatrix(0, mp.Rank*bc, rows, bc)
 				dx := l.Backward(mp, dyLocal)
 				// Reassemble the column-sharded output.
-				parts := mp.TP.AllGather(mp.W, y)
-				ys.Put(mp.W.Rank(), tensor.HCat(parts...))
+				ys.Put(mp.W.Rank(), mp.TP.AllGatherInto(mp.W, y, tensor.New(y.Rows, tp*y.Cols)))
 				dxs.Put(mp.W.Rank(), dx)
-				gparts := mp.TP.AllGather(mp.W, l.W.Grad)
-				gws.Put(mp.W.Rank(), tensor.HCat(gparts...))
+				gw := l.W.Grad
+				gws.Put(mp.W.Rank(), mp.TP.AllGatherInto(mp.W, gw, tensor.New(gw.Rows, tp*gw.Cols)))
 				return nil
 			})
 			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)
@@ -100,8 +99,7 @@ func TestRowLinearMatchesSerial(t *testing.T) {
 				y := l.Forward(mp, xLocal)
 				dx := l.Backward(mp, dy)
 				ys.Put(mp.W.Rank(), y)
-				parts := mp.TP.AllGather(mp.W, dx)
-				dxs.Put(mp.W.Rank(), tensor.HCat(parts...))
+				dxs.Put(mp.W.Rank(), mp.TP.AllGatherInto(mp.W, dx, tensor.New(dx.Rows, tp*dx.Cols)))
 				return nil
 			})
 			testutil.CheckClose(t, "y", ys.Get(0), wantY, 1e-9)

@@ -10,9 +10,9 @@
 // Slice, GatherPooled), how to build the distributed layers that operate on
 // that layout (NewLinear, NewBlock, NewLayerNorm, NewHead), and how a
 // training step finishes (DrainGradients, EndStep). Everything above —
-// vit.DistModel, the trainers, the serving runtime, the tables runners — only ever sees these contracts, which is what lets
-// plan.Plan.Instantiate turn a searched layout directly into a trainable
-// model.
+// vit.DistModel, the trainers, the serving runtime, the tables runners —
+// only ever sees these contracts, which is what lets New turn a searched
+// layout (plan.Plan.Layout) directly into a trainable model.
 //
 // # Layer contract
 //
@@ -81,8 +81,8 @@ type Slice struct {
 
 // Family is one tensor-parallel scheme's model layer: layout, layers and
 // step hooks. Implementations register a constructor with Register so
-// layouts (and planner candidates, via plan.Plan.Instantiate) can be
-// turned into families by name.
+// layouts (and planner candidates, via plan.Plan.Layout) can be turned into
+// families by name.
 type Family interface {
 	// Name returns the registered family name ("tesseract", "optimus",
 	// "megatron").

@@ -52,7 +52,7 @@ func TestInstantiateEveryRankedFamily(t *testing.T) {
 	for fam, p := range best {
 		c := dist.New(dist.Config{WorldSize: p.Grid.Ranks})
 		if err := c.Run(func(wk *dist.Worker) error {
-			f, err := p.Instantiate(wk)
+			f, err := parallel.New(wk, p.Layout())
 			if err != nil {
 				return err
 			}
@@ -75,7 +75,7 @@ func TestInstantiateEveryRankedFamily(t *testing.T) {
 func TestInstantiateUnknownFamily(t *testing.T) {
 	c := dist.New(dist.Config{WorldSize: 1})
 	if err := c.Run(func(w *dist.Worker) error {
-		_, err := (plan.Plan{Family: "cannon", Grid: plan.Grid{Ranks: 1}}).Instantiate(w)
+		_, err := parallel.New(w, plan.Plan{Family: "cannon", Grid: plan.Grid{Ranks: 1}}.Layout())
 		if err == nil || !strings.Contains(err.Error(), "cannon") {
 			t.Errorf("unknown family error = %v", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/dist"
+	"repro/internal/parallel"
 )
 
 // ErrNoFeasible is the sentinel wrapped by every "no feasible layout"
@@ -188,6 +189,15 @@ type Plan struct {
 
 // String renders "family [shape]".
 func (p Plan) String() string { return fmt.Sprintf("%s %s", p.Family, p.Grid.Shape()) }
+
+// Layout converts a ranked candidate into the runtime layout its family
+// registers with the parallel package — the bridge that closes the
+// plan→run gap: a grid the search can rank is a layout parallel.New can
+// build, once the family's package is imported so its constructor is
+// registered.
+func (p Plan) Layout() parallel.Layout {
+	return parallel.Layout{Family: p.Family, Q: p.Grid.Q, D: p.Grid.D, Ranks: p.Grid.Ranks}
+}
 
 // Search enumerates every feasible (family, grid) candidate within the
 // topology's budgets, scores each analytically, and returns the full list

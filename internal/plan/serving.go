@@ -75,20 +75,6 @@ func (p ServingPlan) Layout() parallel.Layout {
 	return parallel.Layout{Family: p.Family, Q: p.Grid.Q, D: p.Grid.D, Ranks: p.Grid.Ranks}
 }
 
-// gridRowShards is the batch divisibility unit of a grid: q·d sequences for
-// the meshes, 1 for the replicated-activation 1-D family — the same rule as
-// parallel.Layout.RowShards, derivable here without instantiating anything.
-func gridRowShards(g Grid) int {
-	if g.Q == 0 {
-		return 1
-	}
-	d := g.D
-	if d < 1 {
-		d = 1
-	}
-	return g.Q * d
-}
-
 // SearchServing enumerates every feasible (family, grid) candidate exactly
 // like Search, but scores each for serving: the family's Cost closure is
 // evaluated forward-only at two batch sizes — the grid's minimum and the
@@ -117,7 +103,8 @@ func SearchServing(w Workload, t Topology, algos []Algo, o ServingObjective) ([]
 	var tightest int64 = -1
 	for _, a := range algos {
 		for _, g := range a.Grids(w, t.RankBudget) {
-			unit := gridRowShards(g)
+			sp := ServingPlan{Family: a.Family, Grid: g}
+			unit := sp.Layout().RowShards()
 			if unit > w.Batch {
 				continue // the grid cannot even fit one padded request per forward
 			}
@@ -142,12 +129,9 @@ func SearchServing(w Workload, t Topology, algos []Algo, o ServingObjective) ([]
 			if pred.FullLatency > 0 {
 				pred.Throughput = float64(w.Batch) / pred.FullLatency
 			}
-			out = append(out, ServingPlan{
-				Family:    a.Family,
-				Grid:      g,
-				Predicted: pred,
-				Score:     o.LatencyWeight*pred.MinLatency + o.ThroughputWeight*pred.FullLatency/float64(w.Batch),
-			})
+			sp.Predicted = pred
+			sp.Score = o.LatencyWeight*pred.MinLatency + o.ThroughputWeight*pred.FullLatency/float64(w.Batch)
+			out = append(out, sp)
 		}
 	}
 	if len(out) == 0 {

@@ -10,11 +10,12 @@ import (
 	"repro/internal/megatron"
 	"repro/internal/optimus"
 	"repro/internal/plan"
+	"repro/internal/seqpar"
 	"repro/internal/tesseract"
 )
 
 func servingAlgos() []plan.Algo {
-	return []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo()}
+	return []plan.Algo{tesseract.PlanAlgo(), optimus.PlanAlgo(), megatron.PlanAlgo(), seqpar.PlanAlgo()}
 }
 
 var servingW = plan.Workload{Batch: 16, Hidden: 3072, Heads: 64}
@@ -133,12 +134,15 @@ func TestSearchServingErrors(t *testing.T) {
 	}
 }
 
+// TestServingPlanLayoutRoundTrip: every candidate is a runnable layout
+// whose row-shard unit is the min batch it was priced at — including
+// seqpar, whose 1-D grid shards rows p ways.
 func TestServingPlanLayoutRoundTrip(t *testing.T) {
 	plans, err := plan.SearchServing(servingW, plan.Topology{RankBudget: 64}, servingAlgos(), plan.ServingObjective{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range plans[:3] {
+	for _, p := range plans {
 		l, err := p.Layout().Normalize()
 		if err != nil {
 			t.Fatalf("%s: layout does not normalize: %v", p, err)

@@ -24,7 +24,11 @@ func TestMulABMatchesSerial(t *testing.T) {
 			want := tensor.MatMul(ga, gb)
 			testutil.Run(t, s.Size(), func(w *dist.Worker) error {
 				p := mesh.NewProc(w, s)
-				var la, lb *tensor.Matrix
+				// Deeper layers pass receive buffers the depth broadcast
+				// overwrites; NaN shows any element it missed.
+				la, lb := tensor.New(4, 3), tensor.New(3, 2)
+				la.Fill(math.NaN())
+				lb.Fill(math.NaN())
 				if p.K == 0 {
 					la = ga.SubMatrix(p.I*4, p.J*3, 4, 3)
 					lb = gb.SubMatrix(p.I*3, p.J*2, 3, 2)
@@ -69,11 +73,7 @@ func TestDepthReducesShiftTraffic(t *testing.T) {
 		c := dist.New(dist.Config{WorldSize: s.Size()})
 		if err := c.Run(func(w *dist.Worker) error {
 			p := mesh.NewProc(w, s)
-			var la, lb *tensor.Matrix
-			if p.K == 0 {
-				la, lb = tensor.NewPhantom(2, 2), tensor.NewPhantom(2, 2)
-			}
-			MulAB(p, la, lb)
+			MulAB(p, tensor.NewPhantom(2, 2), tensor.NewPhantom(2, 2))
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -101,11 +101,7 @@ func TestDepthMustDivideQ(t *testing.T) {
 	err := c.Run(func(w *dist.Worker) error {
 		p := mesh.NewProc(w, s)
 		defer func() { recover() }()
-		var la, lb *tensor.Matrix
-		if p.K == 0 {
-			la, lb = tensor.New(2, 2), tensor.New(2, 2)
-		}
-		MulAB(p, la, lb)
+		MulAB(p, tensor.New(2, 2), tensor.New(2, 2))
 		t.Errorf("rank %d: expected panic for d∤q", w.Rank())
 		return nil
 	})

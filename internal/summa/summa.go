@@ -275,29 +275,21 @@ func DistributeA(p *mesh.Proc, global *tensor.Matrix) *tensor.Matrix {
 // all-gathers along the row (columns of the matrix) and the slab (block
 // rows). It is used by tests and by redundantly-computed model heads.
 func CollectA(p *mesh.Proc, local *tensor.Matrix) *tensor.Matrix {
-	rowParts := p.Row.AllGather(p.W, local)
-	wide := hcat(rowParts)
-	slabParts := p.Slab.AllGather(p.W, wide)
+	wide := p.Row.AllGatherInto(p.W, local, newAs(local, local.Rows, p.Row.Size()*local.Cols))
 	// Slab order is h = i + k·q ascending, i.e. exactly block-row order.
-	return vcat(slabParts)
+	return p.Slab.AllGatherInto(p.W, wide, newAs(local, p.Slab.Size()*wide.Rows, wide.Cols))
 }
 
 // CollectB reassembles a B-distributed matrix on every processor of a layer.
 func CollectB(p *mesh.Proc, local *tensor.Matrix) *tensor.Matrix {
-	rowParts := p.Row.AllGather(p.W, local)
-	wide := hcat(rowParts)
-	colParts := p.Col.AllGather(p.W, wide)
-	return vcat(colParts)
+	wide := p.Row.AllGatherInto(p.W, local, newAs(local, local.Rows, p.Row.Size()*local.Cols))
+	return p.Col.AllGatherInto(p.W, wide, newAs(local, p.Col.Size()*wide.Rows, wide.Cols))
 }
 
-func hcat(parts []*tensor.Matrix) *tensor.Matrix {
-	blocks := make([]*tensor.Matrix, len(parts))
-	copy(blocks, parts)
-	return tensor.Combine(1, len(blocks), blocks)
-}
-
-func vcat(parts []*tensor.Matrix) *tensor.Matrix {
-	blocks := make([]*tensor.Matrix, len(parts))
-	copy(blocks, parts)
-	return tensor.Combine(len(blocks), 1, blocks)
+// newAs allocates a rows×cols matrix that is phantom exactly when like is.
+func newAs(like *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	if like.Phantom() {
+		return tensor.NewPhantom(rows, cols)
+	}
+	return tensor.New(rows, cols)
 }

@@ -119,7 +119,7 @@ func TestMulATBAcrossDepthSumsToSerial(t *testing.T) {
 		la := DistributeA(p, ga)
 		lc := DistributeA(p, gc)
 		partial := MulATB(p, la, lc)
-		full := p.Depth.AllReduce(p.W, partial)
+		full := p.Depth.AllReduceInto(p.W, partial, partial)
 		results.Put(p.W.Rank(), CollectB(p, full))
 		return nil
 	})

@@ -1,9 +1,4 @@
-// Scaling example: a compact strong/weak-scaling sweep using the same
-// harness that regenerates the paper's Tables 1 and 2, here at a reduced
-// sequence length so it runs instantly. Shows how to time arbitrary mesh
-// shapes and how the depth parameter d trades broadcast volume against
-// depth synchronisation (§3.1).
-package main
+package tables_test
 
 import (
 	"fmt"
@@ -12,7 +7,12 @@ import (
 	"repro/internal/tables"
 )
 
-func main() {
+// ExampleRunRow is a compact strong/weak-scaling sweep on the harness that
+// regenerates the paper's Tables 1 and 2, at a reduced sequence length so
+// it runs at once. It times arbitrary mesh shapes and shows how the depth
+// parameter d trades broadcast volume against depth synchronisation
+// (§3.1).
+func ExampleRunRow() {
 	opts := tables.Options{SeqLen: 128}
 
 	fmt.Println("Strong scaling: fixed problem (batch 16, hidden 3072, 64 heads)")
@@ -61,4 +61,31 @@ func main() {
 		fmt.Printf("%-9s %6d %6d %6d | %9.4f %9.4f\n",
 			row.Shape(), row.GPUs, row.Batch, row.Hidden, res.Forward, res.Backward)
 	}
+	// Output:
+	// Strong scaling: fixed problem (batch 16, hidden 3072, 64 heads)
+	// scheme       shape      #GPUs |    fwd(s)    bwd(s)  1/(fwd+bwd)
+	// Megatron-LM  [16]          16 |    0.0304    0.0610        10.94
+	// Megatron-LM  [64]          64 |    0.0322    0.0645        10.34
+	// Optimus      [4,4]         16 |    0.0726    0.2182         3.44
+	// Optimus      [8,8]         64 |    0.0546    0.1692         4.47
+	// Tesseract    [4,4,1]       16 |    0.0726    0.2182         3.44
+	// Tesseract    [4,4,2]       32 |    0.0726    0.2180         3.44
+	// Tesseract    [4,4,4]       64 |    0.0726    0.2179         3.44
+	// Tesseract    [8,8,1]       64 |    0.0546    0.1692         4.47
+	//
+	// Depth sweep at q = 4 (same problem): deeper meshes shrink the per-layer
+	// broadcast panels by d at the price of a rare depth all-reduce
+	// Depth ablation (strong scaling problem, hidden 3072, batch 16)
+	// shape      #GPUs |    fwd(s)    bwd(s) thru(seq/s)
+	// [4,4,1]       16 |    0.0726    0.2182     3.4383
+	// [4,4,2]       32 |    0.0726    0.2180     3.4411
+	// [4,4,4]       64 |    0.0726    0.2179     3.4425
+	//
+	// Weak scaling: problem grows with the mesh (batch = 12·d·q, hidden = 512·q)
+	// shape      #GPUs  batch hidden |    fwd(s)    bwd(s)
+	// [1,1,1]        1     12    512 |    0.0000    0.0001
+	// [2,2,1]        4     24   1024 |    0.0004    0.0015
+	// [2,2,2]        8     48   1024 |    0.0004    0.0048
+	// [4,4,2]       32     96   2048 |    0.0324    0.0978
+	// [4,4,4]       64    192   2048 |    0.0324    0.0978
 }

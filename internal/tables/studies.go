@@ -144,11 +144,7 @@ func TransmissionStudy() ([]TransmissionPoint, error) {
 		return nil, err
 	}
 	soloCount, err := countMessages(mesh.Shape{Q: 4, D: 4}, func(pr *mesh.Proc) error {
-		var la, lb *tensor.Matrix
-		if pr.K == 0 {
-			la, lb = tensor.NewPhantom(8, 8), tensor.NewPhantom(8, 8)
-		}
-		solomonik.MulAB(pr, la, lb)
+		solomonik.MulAB(pr, tensor.NewPhantom(8, 8), tensor.NewPhantom(8, 8))
 		return nil
 	})
 	if err != nil {

@@ -242,9 +242,7 @@ func (m *Matrix) AllClose(n *Matrix, tol float64) bool {
 }
 
 // Equal reports exact element equality (and equal shape).
-func (m *Matrix) Equal(n *Matrix) bool { return m.MaxAbsDiffOK(n) }
-
-func (m *Matrix) MaxAbsDiffOK(n *Matrix) bool {
+func (m *Matrix) Equal(n *Matrix) bool {
 	if !m.SameShape(n) {
 		return false
 	}
@@ -287,49 +285,4 @@ func (m *Matrix) SetSubMatrix(r0, c0 int, src *Matrix) {
 	for i := 0; i < src.Rows; i++ {
 		copy(m.Data[(r0+i)*m.Cols+c0:(r0+i)*m.Cols+c0+src.Cols], src.Data[i*src.Cols:(i+1)*src.Cols])
 	}
-}
-
-// Partition splits m into an rBlocks×cBlocks grid of equal blocks and returns
-// them in row-major block order. It panics unless the dimensions divide
-// evenly. Phantom input yields phantom blocks.
-func (m *Matrix) Partition(rBlocks, cBlocks int) []*Matrix {
-	if rBlocks <= 0 || cBlocks <= 0 || m.Rows%rBlocks != 0 || m.Cols%cBlocks != 0 {
-		panic(fmt.Sprintf("tensor: cannot partition %dx%d into %dx%d blocks", m.Rows, m.Cols, rBlocks, cBlocks))
-	}
-	br, bc := m.Rows/rBlocks, m.Cols/cBlocks
-	out := make([]*Matrix, 0, rBlocks*cBlocks)
-	for i := 0; i < rBlocks; i++ {
-		for j := 0; j < cBlocks; j++ {
-			out = append(out, m.SubMatrix(i*br, j*bc, br, bc))
-		}
-	}
-	return out
-}
-
-// Combine reassembles an rBlocks×cBlocks grid of equal blocks (row-major
-// block order, as produced by Partition) into one matrix.
-func Combine(rBlocks, cBlocks int, blocks []*Matrix) *Matrix {
-	if len(blocks) != rBlocks*cBlocks {
-		panic(fmt.Sprintf("tensor: Combine got %d blocks for %dx%d grid", len(blocks), rBlocks, cBlocks))
-	}
-	br, bc := blocks[0].Rows, blocks[0].Cols
-	phantom := false
-	for _, b := range blocks {
-		if b.Rows != br || b.Cols != bc {
-			panic("tensor: Combine blocks of unequal shape")
-		}
-		if b.Data == nil {
-			phantom = true
-		}
-	}
-	if phantom {
-		return NewPhantom(rBlocks*br, cBlocks*bc)
-	}
-	out := New(rBlocks*br, cBlocks*bc)
-	for i := 0; i < rBlocks; i++ {
-		for j := 0; j < cBlocks; j++ {
-			out.SetSubMatrix(i*br, j*bc, blocks[i*cBlocks+j])
-		}
-	}
-	return out
 }

@@ -167,21 +167,6 @@ func TestMatMulDistributivity(t *testing.T) {
 	}
 }
 
-func TestPartitionCombineRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
-		rb := 1 + rng.Intn(3)
-		cb := 1 + rng.Intn(3)
-		m := RandomMatrix(rb*(1+rng.Intn(3)), cb*(1+rng.Intn(3)), rng)
-		blocks := m.Partition(rb, cb)
-		back := Combine(rb, cb, blocks)
-		return back.MaxAbsDiff(m) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSubMatrixSetSubMatrixRoundTrip(t *testing.T) {
 	rng := NewRNG(5)
 	m := RandomMatrix(6, 8, rng)

@@ -42,7 +42,7 @@ import "fmt"
 // The blocking dist collectives complete all cross-worker reads before any
 // member returns, so a buffer used as a blocking collective's source or
 // destination is again exclusively owned the moment the call returns: it may
-// be reused, Put, or sent again immediately. Snapshot-free *Into collectives
+// be reused, Put, or sent again immediately. SUMMA's reused receive panels
 // rely on this.
 //
 // The nonblocking collectives (dist's IBroadcastInto family) borrow their

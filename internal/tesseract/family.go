@@ -30,13 +30,6 @@ type Family struct {
 	layout parallel.Layout
 }
 
-// NewFamily attaches the calling worker to a [q, q, d] mesh based at rank 0
-// and returns the family view. All ranks of the mesh must call it
-// collectively.
-func NewFamily(w *dist.Worker, q, d int) *Family {
-	return NewFamilyAt(w, mesh.Shape{Q: q, D: d})
-}
-
 // NewFamilyAt attaches the calling worker to an arbitrary mesh shape —
 // used when composing with data or pipeline parallelism and by the Optimus
 // depth-1 delegation.

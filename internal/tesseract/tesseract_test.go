@@ -83,8 +83,8 @@ func TestLinearForwardBackwardMatchesSerial(t *testing.T) {
 				dxs.Put(p.W.Rank(), p.CollectA(dx))
 				gws.Put(p.W.Rank(), p.CollectB(l.W.Grad))
 				if p.I == 0 {
-					parts := p.Row.AllGather(p.W, l.B.Grad)
-					gbs.Put(p.W.Rank(), tensor.HCat(parts...))
+					gb := l.B.Grad
+					gbs.Put(p.W.Rank(), p.Row.AllGatherInto(p.W, gb, tensor.New(gb.Rows, p.Row.Size()*gb.Cols)))
 				}
 				return nil
 			})

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/nn"
-	"repro/internal/tesseract"
+	"repro/internal/parallel"
 )
 
 // raggedData builds a dataset whose test set (12 samples) does not divide
@@ -67,7 +67,10 @@ func TestEvalDistCoversTail(t *testing.T) {
 			accs := make([]float64, sh.q*sh.q*sh.d)
 			c := dist.New(dist.Config{WorldSize: sh.q * sh.q * sh.d})
 			err := c.Run(func(w *dist.Worker) error {
-				f := tesseract.NewFamily(w, sh.q, sh.d)
+				f, err := parallel.New(w, parallel.Layout{Family: "tesseract", Q: sh.q, D: sh.d})
+				if err != nil {
+					return err
+				}
 				model := NewDistModel(f, mcfg)
 				accs[w.Rank()] = evalDist(f, model, ds, batch, mcfg.SeqLen)
 				return nil

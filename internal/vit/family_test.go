@@ -125,7 +125,7 @@ func TestOptimusBitwiseTesseractDepth1(t *testing.T) {
 
 // TestSearchInstantiateTrain closes the plan→run gap for every family in
 // one test: plan.Search ranks layouts for the tiny ViT workload, the best
-// candidate of EACH family is instantiated via Plan.Instantiate on a
+// candidate of EACH family is instantiated via parallel.New on a
 // matching cluster, and a ViT training step must run and match the serial
 // forward loss.
 func TestSearchInstantiateTrain(t *testing.T) {
@@ -157,7 +157,7 @@ func TestSearchInstantiateTrain(t *testing.T) {
 		losses := make([]float64, p.Grid.Ranks)
 		c := dist.New(dist.Config{WorldSize: p.Grid.Ranks})
 		err := c.Run(func(w *dist.Worker) error {
-			f, err := p.Instantiate(w)
+			f, err := parallel.New(w, p.Layout())
 			if err != nil {
 				return err
 			}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
-	"repro/internal/tesseract"
 	"repro/internal/testutil"
 )
 
@@ -165,7 +164,10 @@ func TestDistForwardMatchesSerial(t *testing.T) {
 	for _, shape := range []struct{ q, d int }{{2, 1}, {2, 2}} {
 		results := testutil.NewCollector()
 		testutil.Run(t, shape.q*shape.q*shape.d, func(w *dist.Worker) error {
-			f := tesseract.NewFamily(w, shape.q, shape.d)
+			f, err := parallel.New(w, parallel.Layout{Family: "tesseract", Q: shape.q, D: shape.d})
+			if err != nil {
+				return err
+			}
 			model := NewDistModel(f, mcfg)
 			logits := model.Forward(DistributeBatch(f, x, mcfg.SeqLen))
 			results.Put(w.Rank(), logits)
@@ -191,7 +193,10 @@ func TestDistBackwardMatchesSerialGrads(t *testing.T) {
 
 	headGrads := testutil.NewCollector()
 	testutil.Run(t, 8, func(w *dist.Worker) error {
-		f := tesseract.NewFamily(w, 2, 2)
+		f, err := parallel.New(w, parallel.Layout{Family: "tesseract", Q: 2, D: 2})
+		if err != nil {
+			return err
+		}
 		model := NewDistModel(f, mcfg)
 		lg := model.Forward(DistributeBatch(f, x, mcfg.SeqLen))
 		_, dl := nn.CrossEntropy(lg, labels)
